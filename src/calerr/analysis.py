@@ -3,7 +3,7 @@
 Covers: rank correlation between metric orderings, sensitivity of method
 rankings to the bin count, rank-ordering tables of recalibrators across all
 32 metric variants, a label-noise simulation on synthetic Gaussian blobs,
-reliability-diagram data export, and the two-bin cancellation pathology.
+and the two-bin cancellation pathology.
 Everything here returns plain data (arrays, dataclasses); rendering is out
 of scope.
 """
@@ -15,11 +15,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .binning import DEFAULT_BINS, BinStats
+from .binning import DEFAULT_BINS
 from .metrics import (
     MetricConfig,
     all_configs,
-    binned_stats,
     gce,
     index_to_config,
     named_metric,
@@ -354,18 +353,8 @@ def label_noise_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Reliability data and the cancellation pathology
+# The cancellation pathology
 # ---------------------------------------------------------------------------
-
-def reliability_data(p: PredictionSet, cfg: MetricConfig) -> list[BinStats]:
-    """The exact per-bin stats behind gce(p, cfg), for external plotting.
-
-    Empty bins appear with count 0 (never NaN); under a class-conditional
-    config every bin is tagged with its class, including placeholder rows
-    for classes with no surviving predictions.
-    """
-    return binned_stats(p, cfg)
-
 
 def make_pathology(
     n_wrong: int = 450,

@@ -17,13 +17,13 @@ from .analysis import (
     label_noise_experiment,
     make_pathology,
     rank_methods,
-    reliability_data,
 )
 from .binning import DEFAULT_BINS
 from .metrics import (
     NAMED_METRICS,
     EmptyMeasurementError,
     MetricConfig,
+    binned_stats,
     gce,
     index_to_config,
     metric_index,
@@ -170,7 +170,7 @@ def cmd_measure(args) -> int:
         return 0
     cfg = _resolve_metric(args)
     score = gce(p, cfg)
-    stats = reliability_data(p, cfg)
+    stats = binned_stats(p, cfg)
     try:
         index_note = f"index={metric_index(cfg)} "
     except ValueError:  # thresholds off the standard grid have no index
@@ -391,7 +391,7 @@ def cmd_label_noise(args) -> int:
 def cmd_reliability(args) -> int:
     p = _as_probs(_load_predictions(args))
     cfg = _resolve_metric(args)
-    stats = reliability_data(p, cfg)
+    stats = binned_stats(p, cfg)
     rows = bin_stats_rows(stats)
     write_table(args.output, BIN_STATS_HEADER, rows)
     occupied = sum(1 for st in stats if st.count)

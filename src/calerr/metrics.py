@@ -34,23 +34,31 @@ small standard threshold could not drop it anyway).
 
 Variants are indexed 0..31 by nesting the axes with binning outermost and
 norm innermost; see :func:`metric_index`.
+
+Scoring runs on arrays.  The config's score view is split into pools (one,
+or one per class) and :func:`calerr.binning.bin_totals` reduces it to
+per-(pool, bin) arrays of counts, confidence sums and correct counts.  Pool
+errors and the mean over classes are array operations on those totals.
+:func:`binned_stats` formats the same totals as :class:`BinStats` records
+for reporting.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Mapping
 
 import numpy as np
 
-from .binning import BIN_KINDS, DEFAULT_BINS, BinScheme, BinStats, bin_stats
-from .predictions import (
-    PredictionSet,
-    ScoredPredictions,
-    full_prob_view,
-    max_prob_view,
+from .binning import (
+    BIN_KINDS,
+    DEFAULT_BINS,
+    BinScheme,
+    BinStats,
+    bin_totals,
+    pool_bin_stats,
 )
+from .predictions import PredictionSet, full_prob_view, max_prob_view
 
 NORMS = ("l1", "l2")
 
@@ -167,10 +175,28 @@ def named_metric(name: str, n_bins: int = DEFAULT_BINS) -> MetricConfig:
     return index_to_config(NAMED_METRICS[key], n_bins)
 
 
-def _view(p: PredictionSet, cfg: MetricConfig) -> ScoredPredictions:
-    if cfg.max_probs:
-        return max_prob_view(p)
-    return full_prob_view(p, cfg.threshold)
+def _pooled_view(p: PredictionSet, cfg: MetricConfig) -> tuple:
+    """The config's score view as ``(scores, hits, pools, n_pools)`` for bin_totals.
+
+    The unthresholded full view reads the probability matrix directly: its
+    flattened entries form one pool, or its columns one pool per class, and
+    the correct entries are the N entries (i, label_i).
+    """
+    n, k = p.probs.shape
+    if not cfg.max_probs and cfg.threshold == 0.0:
+        hits = np.arange(n) * k + p.labels
+        if cfg.class_conditional:
+            return p.probs, hits, None, k
+        return p.probs.ravel(), hits, None, 1
+    view = max_prob_view(p) if cfg.max_probs else full_prob_view(p, cfg.threshold)
+    if len(view) == 0:
+        raise EmptyMeasurementError(
+            f"no predictions survive threshold {cfg.threshold}"
+        )
+    hits = np.flatnonzero(view.correct)
+    if cfg.class_conditional:
+        return view.scores, hits, view.class_index, k
+    return view.scores, hits, None, 1
 
 
 def binned_stats(p: PredictionSet, cfg: MetricConfig) -> list[BinStats]:
@@ -181,40 +207,32 @@ def binned_stats(p: PredictionSet, cfg: MetricConfig) -> list[BinStats]:
     zero-count placeholder bin spanning [0, 1] so downstream consumers see
     the class flagged rather than silently missing.
     """
-    view = _view(p, cfg)
-    if len(view) == 0:
-        raise EmptyMeasurementError(
-            f"no predictions survive threshold {cfg.threshold}"
-        )
-    if not cfg.class_conditional:
-        return bin_stats(view, cfg.binning)
+    scores, hits, pools, n_pools = _pooled_view(p, cfg)
+    pool_stats = pool_bin_stats(scores, hits, cfg.binning, pools, n_pools)
     out: list[BinStats] = []
-    for k in range(p.n_classes):
-        pool = view.filter(view.class_index == k)
-        if len(pool) == 0:
-            out.append(
-                BinStats(0.0, 1.0, 0, 0.0, 0.0, class_index=k)
-            )
-            continue
-        for st in bin_stats(pool, cfg.binning):
-            out.append(dataclasses.replace(st, class_index=k))
+    for k, pool in enumerate(pool_stats):
+        if cfg.class_conditional and not any(st.count for st in pool):
+            out.append(BinStats(0.0, 1.0, 0, 0.0, 0.0, class_index=k))
+        else:
+            out.extend(pool)
     return out
 
 
-def _pool_error(stats: list[BinStats], norm: str, weighted_l2: bool) -> float:
-    total = sum(st.count for st in stats)
-    if norm == "l1":
-        return sum(st.count / total * abs(st.gap) for st in stats if st.count)
-    if weighted_l2:
-        return math.sqrt(
-            sum(st.count / total * st.gap**2 for st in stats if st.count)
-        )
-    return math.sqrt(sum(st.gap**2 for st in stats if st.count))
+def _pool_errors(
+    counts: np.ndarray, conf_sums: np.ndarray, correct_sums: np.ndarray, norm: str
+) -> np.ndarray:
+    """Binned error of each pool (row) of per-(pool, bin) totals; 0 if empty."""
+    occupied = np.maximum(counts, 1)
+    gaps = correct_sums / occupied - conf_sums / occupied
+    weights = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
+    terms = weights * (np.abs(gaps) if norm == "l1" else gaps * gaps)
+    # cumsum adds the bins strictly left to right, like a Python loop would;
+    # a plain sum's pairwise blocking would move the last digit.
+    errors = np.cumsum(terms, axis=1)[:, -1]
+    return errors if norm == "l1" else np.sqrt(errors)
 
 
-def gce(
-    p: PredictionSet, cfg: MetricConfig, *, weighted_l2: bool = True
-) -> CalibrationScore:
+def gce(p: PredictionSet, cfg: MetricConfig) -> CalibrationScore:
     """Score a prediction set under one metric variant.
 
     The pipeline is: build the score view (top probability per datapoint, or
@@ -224,30 +242,18 @@ def gce(
     norm, and average evenly over the classes that kept at least one
     prediction.  Empty bins carry zero weight.  If thresholding empties the
     whole view this raises :class:`EmptyMeasurementError` rather than
-    reporting a perfect 0.
-
-    ``weighted_l2`` selects the bin-weighted root mean square for l2 (the
-    shipped convention: sqrt of the count-weighted mean squared gap).  Pass
-    ``weighted_l2=False`` for the plain root of the summed squared gaps over
-    occupied bins, provided for comparison only.
+    reporting a perfect 0.  The l2 norm is the bin-weighted root mean square:
+    the square root of the count-weighted mean squared gap.
     """
-    stats = binned_stats(p, cfg)
+    scores, hits, pools, n_pools = _pooled_view(p, cfg)
+    counts, conf_sums, correct_sums = bin_totals(
+        scores, hits, cfg.binning, pools, n_pools
+    )
+    errors = _pool_errors(counts, conf_sums, correct_sums, cfg.norm)
     if not cfg.class_conditional:
-        return CalibrationScore(
-            value=_pool_error(stats, cfg.norm, weighted_l2), config=cfg
-        )
-    by_class: dict[int, list[BinStats]] = {}
-    for st in stats:
-        by_class.setdefault(st.class_index, []).append(st)
-    per_class = {}
-    for k, pool_stats in sorted(by_class.items()):
-        if sum(st.count for st in pool_stats) == 0:
-            continue  # class empty after thresholding: excluded from the mean
-        per_class[k] = _pool_error(pool_stats, cfg.norm, weighted_l2)
-    if not per_class:
-        raise EmptyMeasurementError(
-            f"every class pool is empty at threshold {cfg.threshold}"
-        )
+        return CalibrationScore(value=float(errors[0]), config=cfg)
+    live = np.flatnonzero(counts.any(axis=1))  # empty classes leave the mean
+    per_class = dict(zip(live.tolist(), errors[live].tolist()))
     value = sum(per_class.values()) / len(per_class)
     return CalibrationScore(value=value, config=cfg, per_class=per_class)
 

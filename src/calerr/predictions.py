@@ -2,16 +2,22 @@
 
 A model's output on an evaluation set is either an N x K matrix of class
 probabilities (:class:`PredictionSet`) or an N x K matrix of raw logits
-(:class:`LogitSet`).  Metrics never look at these matrices directly; they look
-at flattened views made of (score, class_index, correct, datapoint_index)
-records, built by :func:`max_prob_view` or :func:`full_prob_view`.
+(:class:`LogitSet`).  A score view (:class:`ScoredPredictions`) holds three
+parallel arrays: each entry's score, the class it belongs to, and whether
+that class is the datapoint's label.  :func:`max_prob_view` keeps each
+datapoint's top probability; :func:`full_prob_view` keeps every entry above a
+threshold.  The metrics split a view into pools (one, or one per class) and
+hand its scores, pool indices and correct positions to the binning engine,
+which reduces them to per-(pool, bin) count and sum arrays.  The
+unthresholded full view needs no view object: the metrics read the matrix
+and its columns directly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -135,65 +141,38 @@ class LogitSet:
 PredictionsOrLogits = Union[PredictionSet, LogitSet]
 
 
-@dataclasses.dataclass(frozen=True)
-class ScoredPrediction:
-    """One scored entry: a probability, the class it scores, and its outcome."""
-
-    score: float
-    class_index: int
-    correct: bool
-    datapoint_index: int
-
-
 class ScoredPredictions:
-    """Array-backed sequence of :class:`ScoredPrediction` records.
+    """A flat score view: parallel arrays of scores, classes and outcomes.
 
-    Metrics operate on these flat views.  ``class_index`` is the predicted
-    class in the max-probability view and the scored class in the
-    full-probability view; ``correct`` marks whether that class is the true
-    label of the originating datapoint.
+    ``class_index`` is the predicted class in the max-probability view and the
+    scored class in the full-probability view; ``correct`` marks whether that
+    class is the true label of the originating datapoint.
     """
 
-    __slots__ = ("scores", "class_index", "correct", "datapoint_index")
+    __slots__ = ("scores", "class_index", "correct")
 
     def __init__(
         self,
         scores: np.ndarray,
         class_index: np.ndarray,
         correct: np.ndarray,
-        datapoint_index: np.ndarray,
     ) -> None:
         self.scores = np.asarray(scores, dtype=float)
         self.class_index = np.asarray(class_index, dtype=int)
         self.correct = np.asarray(correct, dtype=bool)
-        self.datapoint_index = np.asarray(datapoint_index, dtype=int)
         n = self.scores.shape[0]
-        for arr in (self.class_index, self.correct, self.datapoint_index):
+        for arr in (self.class_index, self.correct):
             if arr.shape != (n,):
                 raise ValidationError("scored-prediction arrays must be parallel")
 
     def __len__(self) -> int:
         return self.scores.shape[0]
 
-    def __getitem__(self, i: int) -> ScoredPrediction:
-        return ScoredPrediction(
-            score=float(self.scores[i]),
-            class_index=int(self.class_index[i]),
-            correct=bool(self.correct[i]),
-            datapoint_index=int(self.datapoint_index[i]),
-        )
-
-    def __iter__(self) -> Iterator[ScoredPrediction]:
-        return (self[i] for i in range(len(self)))
-
     def filter(self, mask: np.ndarray) -> "ScoredPredictions":
         """Subset by boolean mask, preserving order."""
         mask = np.asarray(mask, dtype=bool)
         return ScoredPredictions(
-            self.scores[mask],
-            self.class_index[mask],
-            self.correct[mask],
-            self.datapoint_index[mask],
+            self.scores[mask], self.class_index[mask], self.correct[mask]
         )
 
 
@@ -218,7 +197,7 @@ def max_prob_view(p: PredictionSet) -> ScoredPredictions:
     n = p.n_points
     cls = np.argmax(p.probs, axis=1)  # np.argmax takes the first maximum
     scores = p.probs[np.arange(n), cls]
-    return ScoredPredictions(scores, cls, cls == p.labels, np.arange(n))
+    return ScoredPredictions(scores, cls, cls == p.labels)
 
 
 def full_prob_view(p: PredictionSet, threshold: float = 0.0) -> ScoredPredictions:
@@ -233,9 +212,8 @@ def full_prob_view(p: PredictionSet, threshold: float = 0.0) -> ScoredPrediction
     n, k = p.probs.shape
     scores = p.probs.ravel()
     class_index = np.tile(np.arange(k), n)
-    datapoint_index = np.repeat(np.arange(n), k)
     correct = class_index == np.repeat(p.labels, k)
-    view = ScoredPredictions(scores, class_index, correct, datapoint_index)
+    view = ScoredPredictions(scores, class_index, correct)
     if threshold > 0.0:
         view = view.filter(view.scores > threshold)
     return view

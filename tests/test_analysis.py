@@ -10,14 +10,11 @@ from calerr import (
     PredictionSet,
     average_ranks,
     bin_sensitivity_sweep,
-    binned_stats,
     label_noise_experiment,
     make_pathology,
-    named_metric,
     rank_correlation,
     rank_methods,
     recalibrate_suite,
-    reliability_data,
     sample_mixed_difficulty_logits,
     sample_overconfident_logits,
     split_validation,
@@ -257,9 +254,3 @@ class TestSamplers:
         # the hard sub-population pulls a solid mass below 0.9
         assert (conf < 0.9).mean() > 0.2
         assert (conf > 0.9).mean() > 0.2
-
-
-class TestReliabilityData:
-    def test_same_as_binned_stats(self, tiny_preds):
-        cfg = named_metric("ECE", 5)
-        assert reliability_data(tiny_preds, cfg) == binned_stats(tiny_preds, cfg)

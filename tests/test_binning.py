@@ -21,7 +21,7 @@ def view_of(scores, correct):
     scores = np.asarray(scores, dtype=float)
     n = scores.shape[0]
     return ScoredPredictions(
-        scores, np.zeros(n, dtype=int), np.asarray(correct, dtype=bool), np.arange(n)
+        scores, np.zeros(n, dtype=int), np.asarray(correct, dtype=bool)
     )
 
 

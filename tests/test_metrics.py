@@ -135,16 +135,6 @@ class TestGce:
         score = gce(p, cfg)
         assert sorted(score.per_class) == [0, 1]
 
-    def test_unweighted_l2_matches_oracle(self, rng):
-        p = random_prediction_set(rng)
-        cfg = MetricConfig(BinScheme("even", 5), norm="l2")
-        got = gce(p, cfg, weighted_l2=False).value
-        ref = oracle.brute_force_gce(
-            p.probs, p.labels, "even", True, False, 0.0, "l2", 5,
-            weighted_l2=False,
-        )
-        assert got == pytest.approx(ref, abs=1e-12)
-
     def test_binned_stats_tags_classes(self, tiny_preds):
         cfg = MetricConfig(BinScheme("even", 2), class_conditional=True)
         stats = binned_stats(tiny_preds, cfg)
@@ -202,3 +192,68 @@ def test_matches_brute_force_oracle(seed):
             p.probs, p.labels, binning, mp, cc, thr, norm, b
         )
         assert got == pytest.approx(ref, abs=1e-10)
+
+
+def _edge_inputs() -> dict:
+    rng = np.random.default_rng(7)
+    edges = [[i / 10, 1.0 - i / 10] for i in range(11)]
+    # three histogram-binned outputs, each repeated with mixed labels, so
+    # equal scores straddle adaptive run boundaries
+    tied_rows = [[0.6, 0.3, 0.1]] * 7 + [[0.2, 0.5, 0.3]] * 6 + [[0.1, 0.1, 0.8]] * 7
+    tied_labels = [0, 1, 0, 2, 0, 1, 1] + [1, 1, 0, 2, 1, 2] + [2, 0, 2, 2, 1, 2, 0]
+    return {
+        "single-row": ([[0.3, 0.7]], [1]),
+        "even-edges": (edges + [[0.5, 0.5]], [i % 2 for i in range(12)]),
+        "heavy-ties": (tied_rows, tied_labels),
+        "one-hot": (np.eye(3)[[0, 1, 2, 0, 0, 1]], [0, 1, 0, 0, 2, 1]),
+        "two-classes": (rng.dirichlet(np.ones(2), size=30), rng.integers(0, 2, 30)),
+        "empty-class-at-threshold": (
+            [[0.7, 0.3, 0.0], [0.2, 0.8, 0.0], [0.49, 0.5, 0.01], [0.6, 0.4, 0.0]],
+            [0, 1, 2, 1],
+        ),
+        "empty-view-at-threshold": (np.full((2, 100), 0.01), [3, 99]),
+    }
+
+
+EDGE_INPUTS = _edge_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+def test_edge_inputs_match_brute_force_oracle(name):
+    probs, labels = EDGE_INPUTS[name]
+    p = PredictionSet(np.asarray(probs, dtype=float), np.asarray(labels))
+    for b in (1, 2, 3, 5, 10, 15):
+        for cfg in all_configs(b):
+            binning, mp, cc, thr, norm = cfg.axis_tuple()
+            # the classes that keep at least one entry of the view
+            if mp:
+                live = set(np.argmax(p.probs, axis=1).tolist())
+            elif thr == 0.0:
+                live = set(range(p.n_classes))
+            else:
+                live = set(np.flatnonzero((p.probs > thr).any(axis=0)).tolist())
+            try:
+                ref = oracle.brute_force_gce(
+                    p.probs, p.labels, binning, mp, cc, thr, norm, b
+                )
+            except ValueError:
+                assert not live
+                with pytest.raises(EmptyMeasurementError):
+                    gce(p, cfg)
+                with pytest.raises(EmptyMeasurementError):
+                    binned_stats(p, cfg)
+                continue
+            score = gce(p, cfg)
+            assert score.value == pytest.approx(ref, abs=1e-10), (name, b, cfg.label())
+            if not cc:
+                continue
+            assert sorted(score.per_class) == sorted(live)
+            stats = binned_stats(p, cfg)
+            for k in range(p.n_classes):
+                pool = [s for s in stats if s.class_index == k]
+                if k in live:
+                    assert len(pool) == b
+                else:
+                    placeholder = [(s.lower, s.upper, s.count) for s in pool]
+                    assert placeholder == [(0.0, 1.0, 0)]
+

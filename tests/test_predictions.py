@@ -114,7 +114,6 @@ class TestMaxProbView:
         assert np.allclose(view.scores, [0.8, 0.7, 0.6, 0.9])
         assert np.array_equal(view.class_index, [0, 0, 1, 0])
         assert np.array_equal(view.correct, [True, False, True, True])
-        assert np.array_equal(view.datapoint_index, [0, 1, 2, 3])
 
     def test_tie_takes_lowest_class(self):
         p = PredictionSet(np.array([[0.5, 0.5]]), np.array([1]))
@@ -129,7 +128,6 @@ class TestFullProbView:
         assert len(view) == 8
         assert np.allclose(view.scores, tiny_preds.probs.ravel())
         assert np.array_equal(view.class_index, [0, 1, 0, 1, 0, 1, 0, 1])
-        assert np.array_equal(view.datapoint_index, [0, 0, 1, 1, 2, 2, 3, 3])
 
     def test_zero_entries_survive_zero_threshold(self):
         p = PredictionSet(np.array([[1.0, 0.0]]), np.array([0]))
@@ -153,23 +151,15 @@ class TestFullProbView:
 
 
 class TestScoredPredictions:
-    def test_sequence_protocol(self, tiny_preds):
-        view = max_prob_view(tiny_preds)
-        assert len(list(view)) == 4
-        rec = view[1]
-        assert rec.score == 0.7 and rec.class_index == 0 and not rec.correct
-
     def test_filter(self, tiny_preds):
         view = max_prob_view(tiny_preds)
         kept = view.filter(view.scores >= 0.8)
         assert len(kept) == 2
-        assert np.array_equal(kept.datapoint_index, [0, 3])
+        assert np.array_equal(kept.scores, [0.8, 0.9])
 
     def test_rejects_ragged_arrays(self):
         with pytest.raises(ValidationError):
-            ScoredPredictions(
-                np.array([0.5]), np.array([0, 1]), np.array([True]), np.array([0])
-            )
+            ScoredPredictions(np.array([0.5]), np.array([0, 1]), np.array([True]))
 
 
 class TestSplitValidation:
@@ -209,7 +199,6 @@ def test_views_partition_consistently(seed):
     top = max_prob_view(p)
     assert len(full) == p.n_points * p.n_classes
     assert len(top) == p.n_points
-    # the max view's score appears among its datapoint's full-view scores
-    for i in range(p.n_points):
-        row = full.scores[full.datapoint_index == i]
-        assert top.scores[i] == row.max()
+    # the max view's score is the top of its datapoint's full-view scores
+    rows = full.scores.reshape(p.n_points, p.n_classes)
+    assert np.array_equal(top.scores, rows.max(axis=1))
