@@ -24,19 +24,12 @@ from .metrics import (
     named_metric,
 )
 from .optimize import SgdConfig, sgd_minimize
-from .predictions import LogitSet, PredictionSet, max_prob_view, row_softmax, softmax
+from .predictions import LogitSet, PredictionSet, max_prob_view, row_softmax
 from .recalibrate import (
-    _nll_and_grad,
-    apply_affine,
-    apply_histogram_binning,
-    apply_isotonic_multiclass,
-    apply_mlp_scaling,
-    apply_temperature,
-    fit_affine_scaling,
-    fit_histogram_binning,
-    fit_isotonic_multiclass,
-    fit_mlp_scaling,
-    fit_temperature,
+    BOOTSTRAP_RESAMPLES,
+    HISTOGRAM_BINS,
+    linear_objective,
+    run_recalibrator,
 )
 
 DEFAULT_SWEEP_BINS = (10, 20, 30, 40, 50)
@@ -316,14 +309,8 @@ def label_noise_experiment(
         yt = _corrupt_labels(y_train, level, n_classes, rng)
         ye = _corrupt_labels(y_test, level, n_classes, rng)
 
-        def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
-            w = params[: n_classes * n_features].reshape(n_classes, n_features)
-            b = params[n_classes * n_features :]
-            loss, gout = _nll_and_grad(x_train @ w.T + b, yt)
-            return loss, np.concatenate([(gout.T @ x_train).ravel(), gout.sum(axis=0)])
-
         params = sgd_minimize(
-            f_and_grad,
+            linear_objective(x_train, yt, n_classes),
             np.zeros(n_classes * n_features + n_classes),
             SgdConfig(learning_rate=0.05, momentum=0.9, nesterov=True,
                       iterations=train_iterations),
@@ -447,40 +434,31 @@ def sample_mixed_difficulty_logits(
     return LogitSet(z, labels)
 
 
+# The standard battery: (output name, method, overrides of recalibrate_suite's options).
+SUITE = (
+    ("histogram", "histogram", {}),
+    ("bootstrap-histogram", "bootstrap-histogram", {}),
+    ("isotonic", "isotonic", {}),
+    ("temperature-gce", "temperature", {"objective": "gce"}),
+    ("temperature-nll", "temperature", {"objective": "nll"}),
+    ("vector", "vector", {}),
+    ("matrix", "matrix", {}),
+    ("mlp", "mlp", {}),
+)
+
+
 def recalibrate_suite(
     fit_half: LogitSet,
     eval_half: LogitSet,
     seed: int = 0,
-    n_bins: int = 20,
-    bootstrap: int = 100,
+    n_bins: int = HISTOGRAM_BINS,
+    bootstrap: int = BOOTSTRAP_RESAMPLES,
 ) -> dict[str, PredictionSet]:
-    """Fit the standard eight-method battery and apply it to the eval half.
-
-    Methods: histogram binning (20 even bins), bootstrap histogram binning
-    (100 resamples), one-versus-all isotonic regression, temperature scaling
-    with the calibration-error and cross-entropy objectives, vector scaling,
-    matrix scaling, and MLP scaling.
-    """
-    fit_probs = softmax(fit_half)
-    eval_probs = softmax(eval_half)
+    """Fit the :data:`SUITE` battery of eight methods; apply it to the eval half."""
     return {
-        "histogram": apply_histogram_binning(
-            fit_histogram_binning(fit_probs, n_bins), eval_probs
-        ),
-        "bootstrap-histogram": apply_histogram_binning(
-            fit_histogram_binning(fit_probs, n_bins, bootstrap=bootstrap, seed=seed),
-            eval_probs,
-        ),
-        "isotonic": apply_isotonic_multiclass(
-            fit_isotonic_multiclass(fit_probs), eval_probs
-        ),
-        "temperature-gce": apply_temperature(
-            fit_temperature(fit_half, objective="gce"), eval_half
-        ),
-        "temperature-nll": apply_temperature(
-            fit_temperature(fit_half, objective="nll"), eval_half
-        ),
-        "vector": apply_affine(fit_affine_scaling(fit_half, "vector"), eval_half),
-        "matrix": apply_affine(fit_affine_scaling(fit_half, "matrix"), eval_half),
-        "mlp": apply_mlp_scaling(fit_mlp_scaling(fit_half, seed), eval_half),
+        name: run_recalibrator(
+            method, fit_half, eval_half, n_bins=n_bins, bootstrap=bootstrap,
+            seed=seed, **overrides,
+        )[1]
+        for name, method, overrides in SUITE
     }

@@ -28,7 +28,7 @@ from .metrics import (
     index_to_config,
     metric_index,
 )
-from .optimize import DivergenceError, SgdConfig
+from .optimize import DivergenceError
 from .predictions import (
     LogitSet,
     PredictionSet,
@@ -37,17 +37,14 @@ from .predictions import (
     split_validation,
 )
 from .recalibrate import (
-    apply_affine,
-    apply_histogram_binning,
-    apply_isotonic_multiclass,
-    apply_mlp_scaling,
-    apply_temperature,
-    fit_affine_scaling,
-    fit_histogram_binning,
-    fit_isotonic_multiclass,
-    fit_mlp_scaling,
-    fit_temperature,
+    BOOTSTRAP_RESAMPLES,
+    EMPTY_BIN_FALLBACKS,
+    HISTOGRAM_BINS,
+    RECALIBRATORS,
+    TEMPERATURE_OBJECTIVES,
+    TemperatureModel,
     model_to_dict,
+    run_recalibrator,
 )
 from .io import (
     PredictionFileError,
@@ -61,20 +58,6 @@ from .io import (
     write_prediction_file,
     write_table,
 )
-
-RECALIBRATION_METHODS = (
-    "histogram",
-    "cc-histogram",
-    "bootstrap-histogram",
-    "isotonic",
-    "platt",
-    "temperature",
-    "vector",
-    "matrix",
-    "mlp",
-)
-SCALING_METHODS = ("platt", "temperature", "vector", "matrix", "mlp")
-
 
 class UsageError(Exception):
     """Bad invocation detected after argparse (maps to exit code 2)."""
@@ -205,49 +188,22 @@ def _write_report_rows(path: str, header: list[str], rows: list[list]) -> None:
 
 def cmd_recalibrate(args) -> int:
     data = _load_predictions(args)
-    if args.method in SCALING_METHODS and not isinstance(data, LogitSet):
+    if RECALIBRATORS[args.method].logits and not isinstance(data, LogitSet):
         raise UsageError(
             f"method {args.method!r} requires logits input; pass --logits "
             "with a logit-valued file"
         )
     fit_half, eval_half = split_validation(data)
-    fit_probs = _as_probs(fit_half)
     eval_probs = _as_probs(eval_half)
-    sgd = SgdConfig()
     report_cfg = _resolve_metric(args)
-
-    if args.method == "histogram":
-        model = fit_histogram_binning(
-            fit_probs, args.histogram_bins, empty_bin=args.empty_bin
-        )
-        after = apply_histogram_binning(model, eval_probs)
-    elif args.method == "cc-histogram":
-        model = fit_histogram_binning(
-            fit_probs, args.histogram_bins, class_conditional=True,
-            empty_bin=args.empty_bin,
-        )
-        after = apply_histogram_binning(model, eval_probs)
-    elif args.method == "bootstrap-histogram":
-        model = fit_histogram_binning(
-            fit_probs, args.histogram_bins, bootstrap=args.bootstrap,
-            seed=args.seed, empty_bin=args.empty_bin,
-        )
-        after = apply_histogram_binning(model, eval_probs)
-    elif args.method == "isotonic":
-        model = fit_isotonic_multiclass(fit_probs)
-        after = apply_isotonic_multiclass(model, eval_probs)
-    elif args.method == "temperature":
-        model = fit_temperature(fit_half, objective=args.objective,
-                                metric=report_cfg if args.objective == "gce" else None)
-        after = apply_temperature(model, eval_half)
+    model, after = run_recalibrator(
+        args.method, fit_half, eval_half, n_bins=args.histogram_bins,
+        bootstrap=args.bootstrap, seed=args.seed, empty_bin=args.empty_bin,
+        objective=args.objective, metric=report_cfg,
+    )
+    if isinstance(model, TemperatureModel):
         print(f"temperature: {format_float(model.temperature)} "
               f"converged: {model.converged}")
-    elif args.method in ("platt", "vector", "matrix"):
-        model = fit_affine_scaling(fit_half, args.method, sgd)
-        after = apply_affine(model, eval_half)
-    else:
-        model = fit_mlp_scaling(fit_half, seed=args.seed, sgd=sgd)
-        after = apply_mlp_scaling(model, eval_half)
 
     before_score = gce(eval_probs, report_cfg).value
     after_score = gce(after, report_cfg).value
@@ -433,16 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("predictions", help="CSV of probabilities (or logits)")
     r.add_argument("--logits", action="store_true",
                    help="input holds logits (required by scaling methods)")
-    r.add_argument("--method", required=True, choices=RECALIBRATION_METHODS)
-    r.add_argument("--objective", choices=("nll", "gce"), default="nll",
-                   help="temperature-scaling objective (default nll)")
-    r.add_argument("--histogram-bins", type=int, default=20,
-                   help="histogram-binning bin count (default 20)")
-    r.add_argument("--bootstrap", type=int, default=100,
-                   help="bootstrap resamples (default 100)")
-    r.add_argument("--empty-bin", choices=("center", "nearest"),
-                   default="center",
-                   help="histogram empty-bin fallback (default center)")
+    r.add_argument("--method", required=True, choices=tuple(RECALIBRATORS))
+    r.add_argument("--objective", choices=TEMPERATURE_OBJECTIVES,
+                   default=TEMPERATURE_OBJECTIVES[0],
+                   help=f"temperature-scaling objective (default {TEMPERATURE_OBJECTIVES[0]})")
+    r.add_argument("--histogram-bins", type=int, default=HISTOGRAM_BINS,
+                   help=f"histogram-binning bin count (default {HISTOGRAM_BINS})")
+    r.add_argument("--bootstrap", type=int, default=BOOTSTRAP_RESAMPLES,
+                   help=f"bootstrap resamples (default {BOOTSTRAP_RESAMPLES})")
+    r.add_argument("--empty-bin", choices=EMPTY_BIN_FALLBACKS,
+                   default=EMPTY_BIN_FALLBACKS[0],
+                   help=f"histogram empty-bin fallback (default {EMPTY_BIN_FALLBACKS[0]})")
     r.add_argument("--output-prefix", required=True,
                    help="writes <prefix>.recalibrated.csv, <prefix>.model.json, "
                         "<prefix>.report.json")

@@ -13,15 +13,18 @@ Methods, with their standard hyperparameters:
 - MLP scaling (three 50-unit rectified-linear layers, same SGD recipe).
 
 Every ``fit_*`` returns an immutable model; every ``apply_*`` is pure and
-returns a valid :class:`~calerr.predictions.PredictionSet`.  Models
-serialize to JSON-ready dicts tagged with a ``method`` key via
-:func:`model_to_dict` / :func:`model_from_dict`.
+returns a valid :class:`~calerr.predictions.PredictionSet`.  Models own a
+``to_dict`` / ``from_dict`` pair: JSON-ready dicts tagged with a ``method``
+key.  :data:`RECALIBRATORS` is the one table of methods by name, which
+:func:`run_recalibrator` fits and applies.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from functools import partial
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -34,11 +37,13 @@ from .predictions import (
     ValidationError,
     max_prob_view,
     row_softmax,
+    softmax,
 )
 
 HISTOGRAM_BINS = 20
 BOOTSTRAP_RESAMPLES = 100
 EMPTY_BIN_FALLBACKS = ("center", "nearest")
+TEMPERATURE_OBJECTIVES = ("nll", "gce")
 
 MLP_HIDDEN_WIDTH = 50
 MLP_HIDDEN_LAYERS = 3
@@ -59,10 +64,52 @@ def _nll_and_grad(out_logits: np.ndarray, labels: np.ndarray) -> tuple[float, np
     return loss, p / n
 
 
+def linear_objective(x: np.ndarray, labels: np.ndarray, n_out: int):
+    """f_and_grad for the NLL of softmax(x @ W.T + b), W of shape (n_out, D).
+
+    Parameters travel as one flat vector: W row-major, then b.
+    """
+    d = x.shape[1]
+
+    def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
+        w = params[: n_out * d].reshape(n_out, d)
+        b = params[n_out * d :]
+        loss, gout = _nll_and_grad(x @ w.T + b, labels)
+        return loss, np.concatenate([(gout.T @ x).ravel(), gout.sum(axis=0)])
+
+    return f_and_grad
+
+
 def nll(p: PredictionSet, floor: float = 1e-12) -> float:
     """Mean negative log likelihood of the true labels under ``p``."""
     picked = p.probs[np.arange(p.n_points), p.labels]
     return float(-np.mean(np.log(np.maximum(picked, floor))))
+
+
+def _plain(value):
+    """JSON-ready copy: dataclasses become dicts of their fields, arrays lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    return value
+
+
+def _floats(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
+class _Model:
+    """Base of the fitted models: ``to_dict`` tags the fields with ``method``."""
+
+    tag: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        return {"method": self.tag, **_plain(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +117,7 @@ def nll(p: PredictionSet, floor: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class HistogramBinningModel:
+class HistogramBinningModel(_Model):
     """Even-bin lookup table replacing each max-prob with validation accuracy.
 
     ``bin_values`` is the pooled table; ``class_values`` maps each predicted
@@ -80,11 +127,20 @@ class HistogramBinningModel:
     points: their own center, or the value of the nearest occupied bin.
     """
 
+    tag: ClassVar[str] = "histogram-binning"
     edges: np.ndarray
     bin_values: np.ndarray
     class_conditional: bool = False
     class_values: dict[int, np.ndarray] | None = None
-    empty_bin: str = "center"
+    empty_bin: str = EMPTY_BIN_FALLBACKS[0]
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> HistogramBinningModel:
+        per_class = doc["class_values"]
+        if per_class is not None:
+            per_class = {int(k): _floats(v) for k, v in per_class.items()}
+        return cls(_floats(doc["edges"]), _floats(doc["bin_values"]),
+                   doc["class_conditional"], per_class, doc["empty_bin"])
 
 
 def _fill_empty_bins(
@@ -111,7 +167,7 @@ def fit_histogram_binning(
     class_conditional: bool = False,
     bootstrap: int | None = None,
     seed: int = 0,
-    empty_bin: str = "center",
+    empty_bin: str = EMPTY_BIN_FALLBACKS[0],
 ) -> HistogramBinningModel:
     """Learn per-bin replacement probabilities from validation accuracy.
 
@@ -158,17 +214,10 @@ def fit_histogram_binning(
             hit = counts > 0
             value_sums[hit] += sums[hit] / counts[hit]
             occupied_runs += hit
-        values = _fill_empty_bins(value_sums, occupied_runs, edges, empty_bin)
-        return values
+        return _fill_empty_bins(value_sums, occupied_runs, edges, empty_bin)
 
-    tables: dict[int | None, np.ndarray] = {}
-    for pool_key, members in pools:
-        if members.size == 0:
-            tables[pool_key] = _fill_empty_bins(
-                np.zeros(n_bins), np.zeros(n_bins, dtype=int), edges, empty_bin
-            )
-        else:
-            tables[pool_key] = table_for(members)
+    # An empty pool occupies no bin, so its table is all fallback values.
+    tables = {pool_key: table_for(members) for pool_key, members in pools}
 
     return HistogramBinningModel(
         edges=edges,
@@ -196,22 +245,19 @@ def apply_histogram_binning(
     n_bins = model.bin_values.shape[0]
     view = max_prob_view(test)
     bin_idx = assign_even_bins(view.scores, n_bins)
-    values = np.empty(n)
-    for i in range(n):
-        table = model.bin_values
-        if model.class_conditional and model.class_values is not None:
-            table = model.class_values.get(int(view.class_index[i]), table)
-        values[i] = table[bin_idx[i]]
+    # Row c holds predicted class c's table, or the pooled one if it has none.
+    per_class = (model.class_values or {}) if model.class_conditional else {}
+    tables = np.stack([per_class.get(c, model.bin_values) for c in range(k)])
+    values = tables[view.class_index, bin_idx]
     # Scale against the row's actual residual mass, not 1 - max: near-saturated
     # rows would otherwise amplify the row-sum rounding slack.
     residual = test.probs.sum(axis=1) - view.scores
     scale = np.where(residual > 0.0, (1.0 - values) / np.where(residual > 0.0, residual, 1.0), 0.0)
-    probs = test.probs * scale[:, None]
-    rows = np.arange(n)
+    # At K = 2 with a bin value of 0 the other entry can round to just above 1.
+    probs = np.minimum(test.probs * scale[:, None], 1.0)
     saturated = residual <= 0.0
-    if np.any(saturated):
-        probs[saturated] = ((1.0 - values[saturated]) / (k - 1))[:, None]
-    probs[rows, view.class_index] = values
+    probs[saturated] = ((1.0 - values[saturated]) / (k - 1))[:, None]
+    probs[np.arange(n), view.class_index] = values
     return PredictionSet(probs, test.labels)
 
 
@@ -220,11 +266,28 @@ def apply_histogram_binning(
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class IsotonicModel:
+class IsotonicModel(_Model):
     """Stepwise-constant non-decreasing map fitted by pool-adjacent-violators."""
 
+    tag: ClassVar[str] = "isotonic"
     breakpoints: np.ndarray
     fitted_values: np.ndarray
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> IsotonicModel:
+        return cls(_floats(doc["breakpoints"]), _floats(doc["fitted_values"]))
+
+
+@dataclasses.dataclass(frozen=True)
+class IsotonicMulticlassModel(_Model):
+    """One-versus-all isotonic maps, one per class column."""
+
+    tag: ClassVar[str] = "isotonic-multiclass"
+    models: tuple[IsotonicModel, ...]
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> IsotonicMulticlassModel:
+        return cls(tuple(IsotonicModel.from_dict(m) for m in doc["models"]))
 
 
 def _pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -279,21 +342,22 @@ def apply_isotonic(model: IsotonicModel, scores: np.ndarray) -> np.ndarray:
     return model.fitted_values[idx]
 
 
-def fit_isotonic_multiclass(val: PredictionSet) -> list[IsotonicModel]:
+def fit_isotonic_multiclass(val: PredictionSet) -> IsotonicMulticlassModel:
     """One-versus-all isotonic models, one per class column."""
-    return [
+    return IsotonicMulticlassModel(tuple(
         fit_isotonic(val.probs[:, k], (val.labels == k).astype(float))
         for k in range(val.n_classes)
-    ]
+    ))
 
 
 def apply_isotonic_multiclass(
-    models: list[IsotonicModel], test: PredictionSet
+    model: IsotonicMulticlassModel, test: PredictionSet
 ) -> PredictionSet:
     """Map each class column through its model, then renormalize rows.
 
     Rows mapping to all zeros fall back to the uniform distribution.
     """
+    models = model.models
     if len(models) != test.n_classes:
         raise ValidationError(
             f"got {len(models)} class models for {test.n_classes} classes"
@@ -313,11 +377,16 @@ def apply_isotonic_multiclass(
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class TemperatureModel:
+class TemperatureModel(_Model):
     """A single scalar temperature dividing every logit."""
 
+    tag: ClassVar[str] = "temperature"
     temperature: float
     converged: bool = True
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> TemperatureModel:
+        return cls(doc["temperature"], doc["converged"])
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.temperature) and self.temperature > 0.0):
@@ -367,7 +436,7 @@ def fit_temperature(
     pass over the standard temperature bracket refines the result and the
     model is returned with ``converged=False``.
     """
-    if objective not in ("nll", "gce"):
+    if objective not in TEMPERATURE_OBJECTIVES:
         raise ValueError(f"objective must be 'nll' or 'gce', got {objective!r}")
     z = val.logits
     labels = val.labels
@@ -410,7 +479,7 @@ AFFINE_KINDS = ("platt", "vector", "matrix")
 
 
 @dataclasses.dataclass(frozen=True)
-class AffineScalingModel:
+class AffineScalingModel(_Model):
     """Affine logit map: scalar a,b (platt), diagonal W,b (vector), full W,b.
 
     ``binary`` marks the classic two-class Platt form, a sigmoid on the
@@ -418,10 +487,15 @@ class AffineScalingModel:
     whole logit vector.
     """
 
+    tag: ClassVar[str] = "affine"
     kind: str
     weight: np.ndarray
     bias: np.ndarray
     binary: bool = False
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> AffineScalingModel:
+        return cls(doc["kind"], _floats(doc["weight"]), _floats(doc["bias"]), doc["binary"])
 
 
 def affine_objective(logits: np.ndarray, labels: np.ndarray, kind: str):
@@ -445,7 +519,9 @@ def affine_objective(logits: np.ndarray, labels: np.ndarray, kind: str):
             loss = float(
                 np.mean(t_true * np.logaddexp(0.0, -t) + (1.0 - t_true) * np.logaddexp(0.0, t))
             )
-            dt = (1.0 / (1.0 + np.exp(-t)) - t_true) / n
+            # exp(-t) may overflow to inf, which gives the sigmoid's 0 limit.
+            with np.errstate(over="ignore"):
+                dt = (1.0 / (1.0 + np.exp(-t)) - t_true) / n
             return loss, np.array([float(dt @ s), float(dt.sum())])
 
         return f_and_grad, np.array([1.0, 0.0])
@@ -467,13 +543,7 @@ def affine_objective(logits: np.ndarray, labels: np.ndarray, kind: str):
         return f_and_grad, np.concatenate([np.ones(k), np.zeros(k)])
 
     if kind == "matrix":
-        def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
-            w = params[: k * k].reshape(k, k)
-            b = params[k * k :]
-            loss, gout = _nll_and_grad(z @ w.T + b, y)
-            return loss, np.concatenate([(gout.T @ z).ravel(), gout.sum(axis=0)])
-
-        return f_and_grad, np.concatenate([np.eye(k).ravel(), np.zeros(k)])
+        return linear_objective(z, y, k), np.concatenate([np.eye(k).ravel(), np.zeros(k)])
 
     raise ValueError(f"kind must be one of {AFFINE_KINDS}, got {kind!r}")
 
@@ -504,7 +574,8 @@ def apply_affine(model: AffineScalingModel, test: LogitSet) -> PredictionSet:
     z = test.logits
     if model.kind == "platt" and model.binary:
         t = float(model.weight) * (z[:, 1] - z[:, 0]) + float(model.bias)
-        p1 = 1.0 / (1.0 + np.exp(-t))
+        with np.errstate(over="ignore"):  # inf gives the sigmoid's 0 limit
+            p1 = 1.0 / (1.0 + np.exp(-t))
         return PredictionSet(np.column_stack([1.0 - p1, p1]), test.labels)
     if model.kind == "platt":
         out = float(model.weight) * z + float(model.bias)
@@ -520,11 +591,16 @@ def apply_affine(model: AffineScalingModel, test: LogitSet) -> PredictionSet:
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class MlpScalingModel:
+class MlpScalingModel(_Model):
     """Feedforward logit map: hidden relu layers, linear output, width K."""
 
+    tag: ClassVar[str] = "mlp"
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> MlpScalingModel:
+        return cls(tuple(map(_floats, doc["weights"])), tuple(map(_floats, doc["biases"])))
 
 
 def _mlp_shapes(k: int, hidden: int, layers: int) -> list[tuple[tuple[int, int], tuple[int]]]:
@@ -641,103 +717,86 @@ def apply_mlp_scaling(model: MlpScalingModel, test: LogitSet) -> PredictionSet:
 # Serialization
 # ---------------------------------------------------------------------------
 
+MODEL_TYPES: dict[str, type] = {
+    cls.tag: cls
+    for cls in (HistogramBinningModel, IsotonicModel, IsotonicMulticlassModel,
+                TemperatureModel, AffineScalingModel, MlpScalingModel)
+}
+
+
 def model_to_dict(model) -> dict:
     """JSON-ready representation tagged with a ``method`` key."""
-    if isinstance(model, HistogramBinningModel):
-        return {
-            "method": "histogram-binning",
-            "edges": model.edges.tolist(),
-            "bin_values": model.bin_values.tolist(),
-            "class_conditional": model.class_conditional,
-            "class_values": (
-                {str(k): v.tolist() for k, v in model.class_values.items()}
-                if model.class_values is not None
-                else None
-            ),
-            "empty_bin": model.empty_bin,
-        }
-    if isinstance(model, IsotonicModel):
-        return {
-            "method": "isotonic",
-            "breakpoints": model.breakpoints.tolist(),
-            "fitted_values": model.fitted_values.tolist(),
-        }
-    if isinstance(model, list) and all(isinstance(m, IsotonicModel) for m in model):
-        return {
-            "method": "isotonic-multiclass",
-            "models": [
-                {
-                    "breakpoints": m.breakpoints.tolist(),
-                    "fitted_values": m.fitted_values.tolist(),
-                }
-                for m in model
-            ],
-        }
-    if isinstance(model, TemperatureModel):
-        return {
-            "method": "temperature",
-            "temperature": model.temperature,
-            "converged": model.converged,
-        }
-    if isinstance(model, AffineScalingModel):
-        return {
-            "method": "affine",
-            "kind": model.kind,
-            "weight": np.asarray(model.weight).tolist(),
-            "bias": np.asarray(model.bias).tolist(),
-            "binary": model.binary,
-        }
-    if isinstance(model, MlpScalingModel):
-        return {
-            "method": "mlp",
-            "weights": [w.tolist() for w in model.weights],
-            "biases": [b.tolist() for b in model.biases],
-        }
-    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    if not isinstance(model, _Model):
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    return model.to_dict()
 
 
 def model_from_dict(doc: dict):
     """Inverse of :func:`model_to_dict`."""
     method = doc.get("method")
-    if method == "histogram-binning":
-        return HistogramBinningModel(
-            edges=np.asarray(doc["edges"], dtype=float),
-            bin_values=np.asarray(doc["bin_values"], dtype=float),
-            class_conditional=doc["class_conditional"],
-            class_values=(
-                {int(k): np.asarray(v, dtype=float) for k, v in doc["class_values"].items()}
-                if doc["class_values"] is not None
-                else None
-            ),
-            empty_bin=doc["empty_bin"],
+    if method not in MODEL_TYPES:
+        raise ValueError(f"unknown model method tag {method!r}")
+    return MODEL_TYPES[method].from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# The method table
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Recalibrator:
+    """One recalibration method: its input space, fit and apply.
+
+    ``logits`` says whether it works on logits (else on probabilities).
+    ``fit(data, **chosen)`` gets the options of :func:`run_recalibrator`
+    named in ``options`` and none of the others.
+    """
+
+    logits: bool
+    fit: Callable
+    apply: Callable
+    options: tuple[str, ...] = ()
+
+
+_HISTOGRAM_OPTIONS = ("n_bins", "empty_bin")
+
+# In the order the CLI lists its --method choices.
+RECALIBRATORS: dict[str, Recalibrator] = {
+    "histogram": Recalibrator(False, fit_histogram_binning, apply_histogram_binning,
+                              _HISTOGRAM_OPTIONS),
+    "cc-histogram": Recalibrator(False, partial(fit_histogram_binning, class_conditional=True),
+                                 apply_histogram_binning, _HISTOGRAM_OPTIONS),
+    "bootstrap-histogram": Recalibrator(False, fit_histogram_binning, apply_histogram_binning,
+                                        _HISTOGRAM_OPTIONS + ("bootstrap", "seed")),
+    "isotonic": Recalibrator(False, fit_isotonic_multiclass, apply_isotonic_multiclass),
+    "platt": Recalibrator(True, partial(fit_affine_scaling, kind="platt"), apply_affine),
+    "temperature": Recalibrator(True, fit_temperature, apply_temperature,
+                                ("objective", "metric")),
+    "vector": Recalibrator(True, partial(fit_affine_scaling, kind="vector"), apply_affine),
+    "matrix": Recalibrator(True, partial(fit_affine_scaling, kind="matrix"), apply_affine),
+    "mlp": Recalibrator(True, fit_mlp_scaling, apply_mlp_scaling, ("seed",)),
+}
+
+
+def run_recalibrator(
+    method: str, fit_data: PredictionSet | LogitSet, eval_data: PredictionSet | LogitSet,
+    n_bins: int = HISTOGRAM_BINS, bootstrap: int = BOOTSTRAP_RESAMPLES, seed: int = 0,
+    empty_bin: str = EMPTY_BIN_FALLBACKS[0], objective: str = TEMPERATURE_OBJECTIVES[0],
+    metric: MetricConfig | None = None,
+):
+    """Fit ``RECALIBRATORS[method]`` on ``fit_data``; return (model, recalibrated eval_data).
+
+    Probability methods softmax logit inputs; logit methods need logits.
+    ``n_bins``, ``bootstrap`` and ``empty_bin`` set the histogram fits,
+    ``seed`` the bootstrap draws and the MLP init, ``objective`` and
+    ``metric`` the temperature fit.
+    """
+    entry = RECALIBRATORS[method]
+    if not entry.logits:
+        fit_data, eval_data = (
+            softmax(d) if isinstance(d, LogitSet) else d for d in (fit_data, eval_data)
         )
-    if method == "isotonic":
-        return IsotonicModel(
-            breakpoints=np.asarray(doc["breakpoints"], dtype=float),
-            fitted_values=np.asarray(doc["fitted_values"], dtype=float),
-        )
-    if method == "isotonic-multiclass":
-        return [
-            IsotonicModel(
-                breakpoints=np.asarray(m["breakpoints"], dtype=float),
-                fitted_values=np.asarray(m["fitted_values"], dtype=float),
-            )
-            for m in doc["models"]
-        ]
-    if method == "temperature":
-        return TemperatureModel(
-            temperature=doc["temperature"], converged=doc["converged"]
-        )
-    if method == "affine":
-        return AffineScalingModel(
-            kind=doc["kind"],
-            weight=np.asarray(doc["weight"], dtype=float),
-            bias=np.asarray(doc["bias"], dtype=float),
-            binary=doc["binary"],
-        )
-    if method == "mlp":
-        return MlpScalingModel(
-            weights=tuple(np.asarray(w, dtype=float) for w in doc["weights"]),
-            biases=tuple(np.asarray(b, dtype=float) for b in doc["biases"]),
-        )
-    raise ValueError(f"unknown model method tag {method!r}")
+    given = dict(n_bins=n_bins, bootstrap=bootstrap, seed=seed, empty_bin=empty_bin,
+                 objective=objective, metric=metric)
+    model = entry.fit(fit_data, **{name: given[name] for name in entry.options})
+    return model, entry.apply(model, eval_data)

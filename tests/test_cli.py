@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from calerr import sample_overconfident_logits, softmax
+import calerr
+import recalibrate_golden as golden
+from calerr import LogitSet, sample_overconfident_logits, softmax
 from calerr.cli import main
 from calerr.io import write_prediction_file
+from calerr.recalibrate import RECALIBRATORS
 
 
 @pytest.fixture
@@ -172,6 +181,93 @@ class TestRecalibrate:
         ])
         back = read_prediction_file(tmp_path / "hist.recalibrated.csv")
         assert back.n_points == 30
+
+
+NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+SGD_TRAINED = {"platt", "vector", "matrix", "mlp"}
+
+
+def assert_text_close(got: str, want: str, atol: float) -> None:
+    """Same text with every number replaced by '#', numbers within atol."""
+    assert NUMBER.sub("#", got) == NUMBER.sub("#", want)
+    np.testing.assert_allclose(
+        [float(x) for x in NUMBER.findall(got)],
+        [float(x) for x in NUMBER.findall(want)],
+        rtol=0, atol=atol,
+    )
+
+
+class TestRecalibrateGolden:
+    """Every method against outputs recorded before the method table existed.
+
+    Exact bytes for the histogram, isotonic and temperature fits; 1e-10 for
+    the SGD-trained methods, whose sums may round differently on another
+    BLAS.
+    """
+
+    GOLDEN = json.loads(golden.GOLDEN_PATH.read_text())
+
+    def test_cases_cover_every_method(self):
+        assert {name.split()[0] for name, _, _ in golden.CASES} == set(RECALIBRATORS)
+
+    @pytest.mark.parametrize("case", golden.CASES, ids=[c[0] for c in golden.CASES])
+    def test_matches_golden(self, case, tmp_path):
+        for name, text in self.GOLDEN["inputs"].items():
+            (tmp_path / name).write_text(text)
+        got = golden.run_case(*case, tmp_path)
+        want = self.GOLDEN["cases"][case[0]]
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if case[0].split()[0] not in SGD_TRAINED:
+                assert got[key] == value, key
+            elif key == "model.json digest":
+                np.testing.assert_allclose(got[key], value, rtol=1e-10, atol=1e-10)
+            else:
+                assert_text_close(str(got[key]), str(value), 1e-10)
+
+    def test_saturated_binary_platt_is_silent(self, tmp_path):
+        # A fresh interpreter, so numpy warnings reach stderr as a user sees them.
+        logits = LogitSet(
+            np.array([[1e4, -1e4], [-1e4, 1e4]] * 10), np.array([0, 1] * 10)
+        )
+        write_prediction_file(tmp_path / "sat.csv", logits)
+        run = subprocess.run(
+            [sys.executable, "-m", "calerr.cli", "recalibrate", str(tmp_path / "sat.csv"),
+             "--logits", "--method", "platt", "--output-prefix", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(calerr.__file__).parents[1])},
+        )
+        assert run.returncode == 0
+        assert run.stderr == ""
+
+
+MALFORMED = [
+    ("empty file", "", [], "file contains no data rows"),
+    ("header only", "p0,p1,label\n", [], "header only, no data rows"),
+    ("ragged row", "0.5,0.5,0\n0.2,0.8\n", [], "row 2: expected 3 columns, got 2"),
+    ("nan cell", "0.5,0.5,0\nnan,0.5,1\n", [], "probs contain non-finite entries"),
+    ("label out of range", "0.5,0.5,0\n0.5,0.5,2\n", [],
+     "labels must lie in [0, 1], got range [0, 2]"),
+    ("negative label", "0.5,0.5,0\n0.5,0.5,-1\n", [],
+     "labels must lie in [0, 1], got range [-1, 0]"),
+    ("non-integer label", "0.5,0.5,0\n0.5,0.5,1.5\n", [],
+     "row 2, column 3: could not parse '1.5' as an integer label"),
+    ("threshold empties the view", "0.6,0.4,0\n0.3,0.7,1\n",
+     ["--no-max-probs", "--threshold", "0.9"], "no predictions survive threshold 0.9"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,flags,message", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED]
+)
+def test_malformed_input_is_data_error(text, flags, message, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["measure", str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.rstrip("\n").endswith(message)
 
 
 class TestSweepAndRank:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -35,7 +36,14 @@ from calerr import (
     sample_overconfident_logits,
     softmax,
 )
-from calerr.recalibrate import IsotonicModel, TemperatureModel, _pava
+from calerr.recalibrate import (
+    RECALIBRATORS,
+    IsotonicModel,
+    IsotonicMulticlassModel,
+    TemperatureModel,
+    _pava,
+    run_recalibrator,
+)
 
 
 def overconfident_probs(n, k, seed):
@@ -144,6 +152,40 @@ class TestHistogramBinning:
         assert np.allclose(out.probs.sum(axis=1), 1.0, atol=1e-9)
         assert out.probs.min() >= 0.0
 
+    @pytest.mark.parametrize(
+        "options", [{}, {"class_conditional": True}, {"bootstrap": 10}]
+    )
+    def test_apply_k2_zero_bin_value_stays_in_unit_interval(self, options):
+        # Bins whose validation accuracy is 0 used to push the other class
+        # to 1 + a few ulp, which PredictionSet rejects.
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((60, 2))
+        y = rng.integers(0, 2, 60)
+        p = softmax(LogitSet(z, y))
+        val = PredictionSet(p.probs[:30], y[:30])
+        test = PredictionSet(p.probs[30:], y[30:])
+        model = fit_histogram_binning(val, **options)
+        assert np.any(model.bin_values == 0.0)
+        out = apply_histogram_binning(model, test)
+        assert out.probs.max() <= 1.0
+        assert np.allclose(out.probs.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_apply_lookup_matches_per_row_reference(self):
+        # Class-conditional tables for classes 0 and 2 only: predicted class
+        # 1 falls back to the pooled table.
+        val = overconfident_probs(400, 3, 21)
+        test = overconfident_probs(400, 3, 22)
+        fitted = fit_histogram_binning(val, n_bins=10, class_conditional=True)
+        model = dataclasses.replace(
+            fitted, class_values={k: fitted.class_values[k] for k in (0, 2)}
+        )
+        out = apply_histogram_binning(model, test)
+        top = test.probs.argmax(axis=1)
+        bins = np.minimum((test.probs.max(axis=1) * 10).astype(int), 9)
+        for i in range(test.n_points):
+            table = model.class_values.get(int(top[i]), model.bin_values)
+            assert out.probs[i, top[i]] == table[bins[i]]
+
 
 class TestIsotonic:
     def test_pava_pools_decreasing_pair(self):
@@ -188,15 +230,15 @@ class TestIsotonic:
         val = overconfident_probs(300, 4, 1)
         test = overconfident_probs(300, 4, 2)
         models = fit_isotonic_multiclass(val)
-        assert len(models) == 4
+        assert len(models.models) == 4
         out = apply_isotonic_multiclass(models, test)
         assert np.allclose(out.probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_multiclass_zero_row_goes_uniform(self):
-        models = [
+        models = IsotonicMulticlassModel((
             IsotonicModel(np.array([0.5]), np.array([0.0])),
             IsotonicModel(np.array([0.5]), np.array([0.0])),
-        ]
+        ))
         test = PredictionSet(np.array([[0.6, 0.4]]), np.array([0]))
         out = apply_isotonic_multiclass(models, test)
         assert np.allclose(out.probs[0], [0.5, 0.5])
@@ -204,7 +246,7 @@ class TestIsotonic:
     def test_multiclass_model_count_checked(self):
         test = PredictionSet(np.array([[0.6, 0.4]]), np.array([0]))
         with pytest.raises(ValidationError):
-            apply_isotonic_multiclass([], test)
+            apply_isotonic_multiclass(IsotonicMulticlassModel(()), test)
 
 
 class TestTemperature:
@@ -376,3 +418,59 @@ class TestSerialization:
     def test_unserializable_type_rejected(self):
         with pytest.raises(TypeError):
             model_to_dict(object())
+
+
+class TestRecalibratorTable:
+    """Every method in the table at the extremes of its input: valid rows,
+    the eval labels kept, no numpy warnings, and a model that round-trips."""
+
+    @staticmethod
+    def extreme_split(case: str) -> tuple[LogitSet, LogitSet]:
+        rng = np.random.default_rng(5)
+        if case == "saturated":
+            # max-probs of exactly 1 (the rest ~1e-44), right and wrong
+            z = np.where(np.eye(3)[rng.integers(0, 3, 40)] > 0, 50.0, -50.0)
+            y = rng.integers(0, 3, 40)
+        elif case == "absent class":
+            # class 3 is never predicted nor the label in the fit half
+            z = rng.standard_normal((40, 4))
+            y = rng.integers(0, 3, 40)
+            z[:20, 3] = -10.0
+            z[20:, 3] = 10.0
+            y[20:] = 3
+        elif case == "K=2":
+            z = 3.0 * rng.standard_normal((40, 2))
+            y = rng.integers(0, 2, 40)
+        else:  # logits of +-1e4 (exact one-hot softmax rows or ties in the max)
+            k = 2 if case == "1e4 K=2" else 3
+            z = rng.choice([-1e4, 1e4], size=(40, k))
+            y = rng.integers(0, k, 40)
+        return LogitSet(z[:20], y[:20]), LogitSet(z[20:], y[20:])
+
+    def test_table_order_and_input_spaces(self):
+        # argparse lists the --method choices in this order
+        assert list(RECALIBRATORS) == [
+            "histogram", "cc-histogram", "bootstrap-histogram", "isotonic",
+            "platt", "temperature", "vector", "matrix", "mlp",
+        ]
+        assert {m for m, e in RECALIBRATORS.items() if e.logits} == {
+            "platt", "temperature", "vector", "matrix", "mlp"
+        }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "case", ["saturated", "absent class", "K=2", "1e4", "1e4 K=2"]
+    )
+    @pytest.mark.parametrize("method", list(RECALIBRATORS))
+    def test_valid_rows_at_extremes(self, method, case):
+        fit, ev = self.extreme_split(case)
+        model, out = run_recalibrator(method, fit, ev, bootstrap=10)
+        assert np.array_equal(out.labels, ev.labels)
+        assert np.all(np.isfinite(out.probs))
+        assert out.probs.min() >= 0.0 and out.probs.max() <= 1.0
+        assert np.allclose(out.probs.sum(axis=1), 1.0, atol=1e-9)
+        restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        again = RECALIBRATORS[method].apply(
+            restored, ev if RECALIBRATORS[method].logits else softmax(ev)
+        )
+        assert np.array_equal(again.probs, out.probs)
