@@ -378,6 +378,14 @@ def make_pathology(
 # Synthetic fixtures shared by the harnesses and the CLI
 # ---------------------------------------------------------------------------
 
+def _sample_labels(rng: np.random.Generator, z: np.ndarray, miscalibration: float) -> np.ndarray:
+    """One label per row of ``z``, drawn from softmax(z / miscalibration)."""
+    true_probs = row_softmax(z / miscalibration)
+    u = rng.random(z.shape[0])
+    labels = (u[:, None] > np.cumsum(true_probs, axis=1)).sum(axis=1)
+    return np.minimum(labels, z.shape[1] - 1)
+
+
 def sample_overconfident_logits(
     n: int,
     k: int,
@@ -393,11 +401,7 @@ def sample_overconfident_logits(
     """
     rng = np.random.default_rng(seed)
     z = sharpness * rng.standard_normal((n, k))
-    true_probs = row_softmax(z / miscalibration)
-    u = rng.random(n)
-    labels = (u[:, None] > np.cumsum(true_probs, axis=1)).sum(axis=1)
-    labels = np.minimum(labels, k - 1)
-    return LogitSet(z, labels)
+    return LogitSet(z, _sample_labels(rng, z, miscalibration))
 
 
 def sample_mixed_difficulty_logits(
@@ -427,11 +431,7 @@ def sample_mixed_difficulty_logits(
     margins = margin_loc + margin_scale * np.abs(rng.standard_normal(n))
     margins[rng.random(n) < hard_fraction] *= 0.25
     z[np.arange(n), top] += margins
-    true_probs = row_softmax(z / miscalibration)
-    u = rng.random(n)
-    labels = (u[:, None] > np.cumsum(true_probs, axis=1)).sum(axis=1)
-    labels = np.minimum(labels, k - 1)
-    return LogitSet(z, labels)
+    return LogitSet(z, _sample_labels(rng, z, miscalibration))
 
 
 # The standard battery: (output name, method, overrides of recalibrate_suite's options).

@@ -52,6 +52,7 @@ from .io import (
     bin_stats_rows,
     BIN_STATS_HEADER,
     format_float,
+    format_value,
     read_prediction_file,
     read_run_config,
     write_json,
@@ -146,8 +147,7 @@ def cmd_measure(args) -> int:
             cfg = index_to_config(i, bins)
             rows.append(_config_row(i, cfg) + [bins, gce(p, cfg).value])
         for row in rows:
-            print(",".join(str(c) if not isinstance(c, float) else format_float(c)
-                           for c in row))
+            print(",".join(map(format_value, row)))
         if args.output:
             _write_report_rows(args.output, ALL_32_HEADER, rows)
         return 0
@@ -162,8 +162,7 @@ def cmd_measure(args) -> int:
     print(f"score: {format_float(score.value)}")
     print(",".join(BIN_STATS_HEADER))
     for row in bin_stats_rows(stats):
-        print(",".join("" if v is None else str(v) if not isinstance(v, float)
-                       else format_float(v) for v in row))
+        print(",".join(map(format_value, row)))
     if args.output:
         doc = {
             "config": dict(zip(ALL_32_HEADER[1:6], cfg.axis_tuple())),

@@ -132,28 +132,11 @@ def bin_stats_rows(stats: list[BinStats]) -> list[list]:
     ]
 
 
-_RUN_CONFIG_DOC = {
-    "binning": "even | adaptive",
-    "bins": "bin count for the metric",
-    "max_probs": "score only each datapoint's top probability",
-    "class_conditional": "bin per class and average",
-    "threshold": "drop full-view entries with score <= threshold",
-    "norm": "l1 | l2",
-    "named": "ECE | CCECE | SCE | ACE | TACE | RMSCE (overrides the axes)",
-    "method": "recalibration method name",
-    "objective": "nll | gce (temperature scaling)",
-    "histogram_bins": "bin count for histogram binning",
-    "bootstrap": "bootstrap resamples for bootstrap-histogram",
-    "empty_bin": "center | nearest (histogram empty-bin fallback)",
-    "seed": "seed for stochastic fitting",
-    "split": "validation split policy (only first-half exists)",
-}
-
-
 @dataclasses.dataclass
 class RunConfig:
-    """A JSON-loadable run description shared by the CLI commands.
+    """The metric settings of a ``--config`` JSON file; its keys are the fields.
 
+    ``named`` (ECE, CCECE, SCE, ACE, TACE or RMSCE) overrides the axes.
     Unknown keys are rejected rather than ignored, so typos fail loudly.
     """
 
@@ -164,35 +147,22 @@ class RunConfig:
     threshold: float = 0.0
     norm: str = "l1"
     named: str | None = None
-    method: str | None = None
-    objective: str = "nll"
-    histogram_bins: int = 20
-    bootstrap: int = 100
-    empty_bin: str = "center"
-    seed: int = 0
-    split: str = "first-half"
 
     def __post_init__(self) -> None:
         if self.binning not in BIN_KINDS:
             raise ValueError(f"binning must be one of {BIN_KINDS}, got {self.binning!r}")
         if self.norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
-        if self.split != "first-half":
-            raise ValueError(
-                f"split policy {self.split!r} does not exist; only 'first-half'"
-            )
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("run config must be a JSON object")
-        unknown = sorted(set(doc) - set(_RUN_CONFIG_DOC))
+        known = sorted(f.name for f in dataclasses.fields(cls))
+        unknown = sorted(set(doc) - set(known))
         if unknown:
-            raise ValueError(
-                f"unknown run-config keys {unknown}; known keys: "
-                f"{sorted(_RUN_CONFIG_DOC)}"
-            )
+            raise ValueError(f"unknown run-config keys {unknown}; known keys: {known}")
         return cls(**doc)
 
     def to_dict(self) -> dict:

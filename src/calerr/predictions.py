@@ -211,12 +211,13 @@ def full_prob_view(p: PredictionSet, threshold: float = 0.0) -> ScoredPrediction
         raise ValidationError(f"threshold must lie in [0, 1), got {threshold}")
     n, k = p.probs.shape
     scores = p.probs.ravel()
-    class_index = np.tile(np.arange(k), n)
-    correct = class_index == np.repeat(p.labels, k)
-    view = ScoredPredictions(scores, class_index, correct)
     if threshold > 0.0:
-        view = view.filter(view.scores > threshold)
-    return view
+        # Only the surviving positions are expanded into classes and labels.
+        pos = np.flatnonzero(scores > threshold)
+        class_index = pos % k
+        return ScoredPredictions(scores[pos], class_index, class_index == p.labels[pos // k])
+    class_index = np.tile(np.arange(k), n)
+    return ScoredPredictions(scores, class_index, class_index == np.repeat(p.labels, k))
 
 
 def split_validation(

@@ -50,7 +50,7 @@ MLP_HIDDEN_LAYERS = 3
 
 
 # ---------------------------------------------------------------------------
-# Shared NLL plumbing
+# Shared NLL plumbing: softmax cross-entropy and dense relu networks
 # ---------------------------------------------------------------------------
 
 def _nll_and_grad(out_logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -64,20 +64,65 @@ def _nll_and_grad(out_logits: np.ndarray, labels: np.ndarray) -> tuple[float, np
     return loss, p / n
 
 
+def _dense_shapes(widths) -> list[tuple[tuple[int, int], tuple[int]]]:
+    """(weight shape, bias shape) per layer of a dense network over ``widths``."""
+    return [((n_out, n_in), (n_out,)) for n_in, n_out in zip(widths[:-1], widths[1:])]
+
+
+def _pack(weights, biases) -> np.ndarray:
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+
+
+def _unpack(params: np.ndarray, widths) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    weights, biases, pos = [], [], 0
+    for w_shape, b_shape in _dense_shapes(widths):
+        w_size = w_shape[0] * w_shape[1]
+        weights.append(params[pos : pos + w_size].reshape(w_shape))
+        pos += w_size
+        biases.append(params[pos : pos + b_shape[0]])
+        pos += b_shape[0]
+    return weights, biases
+
+
+def _dense_forward(weights, biases, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """(each layer's input, output logits): relu hidden layers, linear output."""
+    inputs = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        inputs.append(np.maximum(inputs[-1] @ w.T + b, 0.0))
+    return inputs, inputs[-1] @ weights[-1].T + biases[-1]
+
+
+def _dense_objective(x: np.ndarray, labels: np.ndarray, widths):
+    """f_and_grad for the NLL of a dense relu network.
+
+    ``widths`` is ``(d_in, hidden..., n_out)``.  Parameters travel as one
+    flat vector: per layer, W row-major, then b.
+    """
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+
+    def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
+        weights, biases = _unpack(params, widths)
+        inputs, out = _dense_forward(weights, biases, x)
+        loss, grad = _nll_and_grad(out, labels)
+        grad_w, grad_b = [], []
+        # grad is the loss gradient w.r.t. each layer's output, last layer first.
+        for layer in range(len(weights) - 1, -1, -1):
+            grad_w.append(grad.T @ inputs[layer])
+            grad_b.append(grad.sum(axis=0))
+            if layer:
+                grad = (grad @ weights[layer]) * (inputs[layer] > 0.0)
+        return loss, _pack(grad_w[::-1], grad_b[::-1])
+
+    return f_and_grad
+
+
 def linear_objective(x: np.ndarray, labels: np.ndarray, n_out: int):
     """f_and_grad for the NLL of softmax(x @ W.T + b), W of shape (n_out, D).
 
     Parameters travel as one flat vector: W row-major, then b.
     """
-    d = x.shape[1]
-
-    def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
-        w = params[: n_out * d].reshape(n_out, d)
-        b = params[n_out * d :]
-        loss, gout = _nll_and_grad(x @ w.T + b, labels)
-        return loss, np.concatenate([(gout.T @ x).ravel(), gout.sum(axis=0)])
-
-    return f_and_grad
+    return _dense_objective(x, labels, (np.shape(x)[1], n_out))
 
 
 def nll(p: PredictionSet, floor: float = 1e-12) -> float:
@@ -187,7 +232,6 @@ def fit_histogram_binning(
     view = max_prob_view(val)
     edges = even_edges(n_bins)
     bin_idx = assign_even_bins(view.scores, n_bins)
-    correct = view.correct.astype(float)
 
     pools: list[tuple[int | None, np.ndarray]] = [(None, np.arange(len(view)))]
     if class_conditional:
@@ -196,25 +240,24 @@ def fit_histogram_binning(
         ]
 
     def table_for(members: np.ndarray) -> np.ndarray:
-        if bootstrap is None:
-            counts = np.bincount(bin_idx[members], minlength=n_bins)
-            sums = np.bincount(
-                bin_idx[members], weights=correct[members], minlength=n_bins
-            )
-            return _fill_empty_bins(sums, counts, edges, empty_bin)
-        # Each pool draws from its own seeded stream, so per-class tables do
-        # not depend on how many pools were fitted before them.
-        rng = np.random.default_rng(seed)
-        value_sums = np.zeros(n_bins)
-        occupied_runs = np.zeros(n_bins)
-        for _ in range(bootstrap):
-            draw = members[rng.integers(0, members.size, members.size)]
-            counts = np.bincount(bin_idx[draw], minlength=n_bins)
-            sums = np.bincount(bin_idx[draw], weights=correct[draw], minlength=n_bins)
-            hit = counts > 0
-            value_sums[hit] += sums[hit] / counts[hit]
-            occupied_runs += hit
-        return _fill_empty_bins(value_sums, occupied_runs, edges, empty_bin)
+        # Row r of draws holds resample r's rows of the view.  The plain fit
+        # is the one "resample" that is the pool itself.  Each pool draws from
+        # its own seeded stream, so per-class tables do not depend on how many
+        # pools were fitted before them.
+        draws = (
+            members[None]
+            if bootstrap is None
+            else members[np.random.default_rng(seed).integers(
+                0, members.size, (bootstrap, members.size))]
+        )
+        runs = draws.shape[0]
+        keys = bin_idx[draws]
+        keys += (n_bins * np.arange(runs))[:, None]
+        counts = np.bincount(keys.ravel(), minlength=runs * n_bins).reshape(runs, n_bins)
+        hits = np.bincount(keys[view.correct[draws]], minlength=runs * n_bins)
+        # Resample accuracies summed in draw order; an empty bin adds 0 / 1.
+        value_sums = np.cumsum(hits.reshape(runs, n_bins) / np.maximum(counts, 1), axis=0)[-1]
+        return _fill_empty_bins(value_sums, (counts > 0).sum(axis=0), edges, empty_bin)
 
     # An empty pool occupies no bin, so its table is all fallback values.
     tables = {pool_key: table_for(members) for pool_key, members in pools}
@@ -603,31 +646,8 @@ class MlpScalingModel(_Model):
         return cls(tuple(map(_floats, doc["weights"])), tuple(map(_floats, doc["biases"])))
 
 
-def _mlp_shapes(k: int, hidden: int, layers: int) -> list[tuple[tuple[int, int], tuple[int]]]:
-    dims = [k] + [hidden] * layers + [k]
-    return [((dims[i + 1], dims[i]), (dims[i + 1],)) for i in range(len(dims) - 1)]
-
-
-def _pack(weights, biases) -> np.ndarray:
-    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
-
-
-def _unpack(params: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    weights, biases, pos = [], [], 0
-    for w_shape, b_shape in shapes:
-        w_size = w_shape[0] * w_shape[1]
-        weights.append(params[pos : pos + w_size].reshape(w_shape))
-        pos += w_size
-        biases.append(params[pos : pos + b_shape[0]])
-        pos += b_shape[0]
-    return weights, biases
-
-
-def _mlp_forward(weights, biases, z: np.ndarray) -> np.ndarray:
-    a = z
-    for w, b in zip(weights[:-1], biases[:-1]):
-        a = np.maximum(a @ w.T + b, 0.0)
-    return a @ weights[-1].T + biases[-1]
+def _mlp_widths(k: int, hidden: int, layers: int) -> tuple[int, ...]:
+    return (k,) + (hidden,) * layers + (k,)
 
 
 def init_mlp_params(
@@ -646,7 +666,7 @@ def init_mlp_params(
     """
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    for w_shape, b_shape in _mlp_shapes(k, hidden, layers):
+    for w_shape, b_shape in _dense_shapes(_mlp_widths(k, hidden, layers)):
         std = scale if scale is not None else math.sqrt(2.0 / sum(w_shape))
         weights.append(std * rng.standard_normal(w_shape))
         biases.append(np.zeros(b_shape))
@@ -660,37 +680,7 @@ def mlp_objective(
     layers: int = MLP_HIDDEN_LAYERS,
 ):
     """f_and_grad for the MLP's NLL over a flat parameter vector."""
-    z = np.asarray(logits, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    shapes = _mlp_shapes(z.shape[1], hidden, layers)
-
-    def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
-        weights, biases = _unpack(params, shapes)
-        activations = [z]
-        pre_acts = []
-        a = z
-        for w, b in zip(weights[:-1], biases[:-1]):
-            pre = a @ w.T + b
-            pre_acts.append(pre)
-            a = np.maximum(pre, 0.0)
-            activations.append(a)
-        out = a @ weights[-1].T + biases[-1]
-        loss, gout = _nll_and_grad(out, y)
-
-        grad_w = [np.empty(0)] * len(weights)
-        grad_b = [np.empty(0)] * len(biases)
-        grad_w[-1] = gout.T @ activations[-1]
-        grad_b[-1] = gout.sum(axis=0)
-        upstream = gout @ weights[-1]
-        for layer in range(layers - 1, -1, -1):
-            dh = upstream * (pre_acts[layer] > 0.0)
-            grad_w[layer] = dh.T @ activations[layer]
-            grad_b[layer] = dh.sum(axis=0)
-            if layer:
-                upstream = dh @ weights[layer]
-        return loss, _pack(grad_w, grad_b)
-
-    return f_and_grad
+    return _dense_objective(logits, labels, _mlp_widths(np.shape(logits)[1], hidden, layers))
 
 
 def fit_mlp_scaling(
@@ -704,12 +694,12 @@ def fit_mlp_scaling(
     params0 = init_mlp_params(val.n_classes, seed, hidden, layers)
     f_and_grad = mlp_objective(val.logits, val.labels, hidden, layers)
     params = sgd_minimize(f_and_grad, params0, sgd)
-    weights, biases = _unpack(params, _mlp_shapes(val.n_classes, hidden, layers))
+    weights, biases = _unpack(params, _mlp_widths(val.n_classes, hidden, layers))
     return MlpScalingModel(weights=tuple(weights), biases=tuple(biases))
 
 
 def apply_mlp_scaling(model: MlpScalingModel, test: LogitSet) -> PredictionSet:
-    out = _mlp_forward(model.weights, model.biases, test.logits)
+    _, out = _dense_forward(model.weights, model.biases, test.logits)
     return PredictionSet(row_softmax(out), test.labels)
 
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from calerr import (
     read_run_config,
     write_prediction_file,
 )
+from calerr.cli import main
 from calerr.io import (
     BIN_STATS_HEADER,
     bin_stats_rows,
@@ -172,9 +177,7 @@ class TestRunConfig:
             RunConfig.from_json("[1, 2]")
 
     def test_round_trip(self):
-        import json
-
-        cfg = RunConfig(binning="adaptive", bins=25, norm="l2", seed=7)
+        cfg = RunConfig(binning="adaptive", bins=25, norm="l2", threshold=0.01)
         back = RunConfig.from_json(json.dumps(cfg.to_dict()))
         assert back == cfg
 
@@ -183,8 +186,22 @@ class TestRunConfig:
             RunConfig(binning="quantile")
         with pytest.raises(ValueError):
             RunConfig(norm="linf")
-        with pytest.raises(ValueError):
-            RunConfig(split="random")
+
+    @pytest.mark.parametrize("key", ["method", "objective", "histogram_bins", "bootstrap",
+                                     "empty_bin", "seed", "split"])
+    def test_recalibration_keys_rejected(self, key, tmp_path):
+        # No command reads these from a config file, so setting one is an error.
+        with pytest.raises(ValueError, match=rf"unknown run-config keys \['{key}'\]"):
+            RunConfig.from_json(json.dumps({key: 10}))
+        preds = tmp_path / "preds.csv"
+        write_prediction_file(preds, PredictionSet(np.array([[0.7, 0.3]]), np.array([0])))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: 10}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["measure", str(preds), "--config", str(path)])
+        assert code == 1
+        assert "unknown run-config keys" in err.getvalue()
 
     def test_read_from_file(self, tmp_path):
         path = tmp_path / "run.json"

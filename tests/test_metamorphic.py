@@ -1,9 +1,9 @@
 """Metamorphic properties of the 32 variants at ImageNet-like K = 1000.
 
 The brute-force oracle is too slow at this size, so these tests check
-relations between scores instead: reordering rows, duplicating the data set
-and relabeling classes must leave scores unchanged, and adaptive bins must
-stay balanced within every pool.  Inputs are tie-free Dirichlet draws, so
+relations between scores instead: reordering rows, duplicating the data set,
+relabeling classes and shifting logits must leave scores unchanged, and
+adaptive bins must stay balanced within every pool.  Inputs are tie-free Dirichlet draws, so
 the stable tie order of adaptive binning plays no part.
 """
 
@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 
 from calerr import (
     EmptyMeasurementError,
+    LogitSet,
     PredictionSet,
     all_configs,
     binned_stats,
     gce,
+    softmax,
 )
 
 K = 1000
@@ -115,3 +117,23 @@ def test_adaptive_runs_balanced_in_every_pool(seed):
                 continue
             assert len(counts) == b
             assert max(counts) - min(counts) <= 1, cfg.label()
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(seeds)
+def test_softmax_shift_invariance(seed):
+    # Logits on a 1/1024 grid: adding an integer and subtracting the row max
+    # are exact, so every score and bin must keep its bits.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(150, 251))
+    z = np.round(rng.normal(0.0, 3.0, (n, K)) * 1024) / 1024
+    labels = rng.integers(0, K, n)
+    shift = int(rng.integers(-1000, 1001))
+    b = int(rng.choice([5, 15, 30]))
+    p, moved = softmax(LogitSet(z, labels)), softmax(LogitSet(z + shift, labels))
+    for cfg in all_configs(b):
+        want, got = gce(p, cfg), gce(moved, cfg)
+        assert got.value == want.value, cfg.label()
+        assert got.per_class == want.per_class, cfg.label()
+        if cfg.norm == "l1":  # the bins do not depend on the norm
+            assert binned_stats(moved, cfg) == binned_stats(p, cfg), cfg.label()

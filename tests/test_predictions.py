@@ -149,6 +149,22 @@ class TestFullProbView:
         view = full_prob_view(p)
         assert np.array_equal(view.correct, [True, False])
 
+    def test_thresholded_view_matches_filtered_full_view(self):
+        # K = 1000: the surviving positions give the records, in the order,
+        # of the full N * K view filtered by score.
+        rng = np.random.default_rng(4)
+        n, k = 200, 1000
+        p = PredictionSet(rng.dirichlet(np.full(k, 0.1), size=n), rng.integers(0, k, n))
+        class_index = np.tile(np.arange(k), n)
+        full = ScoredPredictions(p.probs.ravel(), class_index,
+                                 class_index == np.repeat(p.labels, k))
+        want = full.filter(full.scores > 0.01)
+        got = full_prob_view(p, 0.01)
+        assert 0 < len(got) < n * k
+        for attr in ("scores", "class_index", "correct"):
+            assert getattr(got, attr).dtype == getattr(want, attr).dtype
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
 
 class TestScoredPredictions:
     def test_filter(self, tiny_preds):

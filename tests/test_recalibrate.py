@@ -36,7 +36,9 @@ from calerr import (
     sample_overconfident_logits,
     softmax,
 )
+from calerr.binning import assign_even_bins, even_edges
 from calerr.recalibrate import (
+    EMPTY_BIN_FALLBACKS,
     RECALIBRATORS,
     IsotonicModel,
     IsotonicMulticlassModel,
@@ -185,6 +187,68 @@ class TestHistogramBinning:
         for i in range(test.n_points):
             table = model.class_values.get(int(top[i]), model.bin_values)
             assert out.probs[i, top[i]] == table[bins[i]]
+
+
+def histogram_reference(p, n_bins, class_conditional, bootstrap, seed, empty_bin):
+    """Histogram tables counted one resample at a time, in draw order."""
+    scores = p.probs.max(axis=1)
+    top = p.probs.argmax(axis=1)
+    bins = assign_even_bins(scores, n_bins)
+    correct = (top == p.labels).astype(float)
+    edges = even_edges(n_bins)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+
+    def table(members):
+        if bootstrap is None:
+            counts = np.bincount(bins[members], minlength=n_bins)
+            sums = np.bincount(bins[members], weights=correct[members], minlength=n_bins)
+        else:
+            rng = np.random.default_rng(seed)
+            sums, counts = np.zeros(n_bins), np.zeros(n_bins)
+            for _ in range(bootstrap):
+                draw = members[rng.integers(0, members.size, members.size)]
+                c = np.bincount(bins[draw], minlength=n_bins)
+                w = np.bincount(bins[draw], weights=correct[draw], minlength=n_bins)
+                sums[c > 0] += w[c > 0] / c[c > 0]
+                counts += c > 0
+        values = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+        occupied = np.flatnonzero(counts > 0)
+        for b in np.flatnonzero(counts == 0):
+            if occupied.size == 0 or empty_bin == "center":
+                values[b] = centers[b]
+            else:
+                values[b] = values[occupied[np.argmin(np.abs(occupied - b))]]
+        return values
+
+    pooled = table(np.arange(p.n_points))
+    if not class_conditional:
+        return pooled, None
+    return pooled, {k: table(np.flatnonzero(top == k)) for k in range(p.n_classes)}
+
+
+class TestHistogramReference:
+    @pytest.mark.parametrize("bootstrap", [None, 1, 7, 100])
+    @pytest.mark.parametrize("class_conditional", [False, True])
+    @pytest.mark.parametrize("k", [2, 10, 1000])
+    def test_matches_per_resample_loop(self, k, class_conditional, bootstrap):
+        rng = np.random.default_rng(k)
+        n = 200
+        probs = rng.dirichlet(np.full(k, 0.5), size=n)
+        if k == 10:
+            probs[:, 4] = 0.0  # class 4 is never predicted: an empty pool
+            probs /= probs.sum(axis=1, keepdims=True)
+        p = PredictionSet(probs, rng.integers(0, k, n))
+        for empty_bin in EMPTY_BIN_FALLBACKS:
+            model = fit_histogram_binning(p, 15, class_conditional, bootstrap, 3, empty_bin)
+            pooled, per_class = histogram_reference(
+                p, 15, class_conditional, bootstrap, 3, empty_bin)
+            assert model.bin_values.tobytes() == pooled.tobytes()
+            if per_class is None:
+                assert model.class_values is None
+                continue
+            assert model.class_values.keys() == per_class.keys()
+            for c, values in per_class.items():
+                assert model.class_values[c].tobytes() == values.tobytes(), c
 
 
 class TestIsotonic:
