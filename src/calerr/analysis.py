@@ -17,6 +17,7 @@ import numpy as np
 
 from .binning import DEFAULT_BINS
 from .metrics import (
+    AXES,
     MetricConfig,
     all_configs,
     gce,
@@ -29,13 +30,12 @@ from .recalibrate import (
     BOOTSTRAP_RESAMPLES,
     HISTOGRAM_BINS,
     linear_objective,
+    linear_probs,
     run_recalibrator,
 )
 
 DEFAULT_SWEEP_BINS = (10, 20, 30, 40, 50)
 RANK_VARIANTS = ("spearman", "footrule")
-
-AXIS_NAMES = ("binning", "max_probs", "class_conditional", "threshold", "norm")
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -151,13 +151,12 @@ def bin_sensitivity_sweep(
 
     group: dict[str, dict[str, float]] = {}
     axis_tuples = [index_to_config(i).axis_tuple() for i in range(32)]
-    for pos, axis in enumerate(AXIS_NAMES):
-        values = sorted({t[pos] for t in axis_tuples}, key=repr)
+    for pos, (axis, axis_values) in enumerate(AXES.items()):
         group[axis] = {
             str(v): float(
                 np.mean([mean_corr[i] for i in range(32) if axis_tuples[i][pos] == v])
             )
-            for v in values
+            for v in sorted(axis_values, key=repr)
         }
 
     return SweepResult(
@@ -315,9 +314,7 @@ def label_noise_experiment(
             SgdConfig(learning_rate=0.05, momentum=0.9, nesterov=True,
                       iterations=train_iterations),
         )
-        w = params[: n_classes * n_features].reshape(n_classes, n_features)
-        b = params[n_classes * n_features :]
-        probs = row_softmax(x_test @ w.T + b)
+        probs = linear_probs(params, x_test, n_classes)
         p = PredictionSet(probs, ye)
 
         view = max_prob_view(p)

@@ -13,6 +13,7 @@ import sys
 
 from .analysis import (
     DEFAULT_SWEEP_BINS,
+    RANK_VARIANTS,
     bin_sensitivity_sweep,
     label_noise_experiment,
     make_pathology,
@@ -20,6 +21,7 @@ from .analysis import (
 )
 from .binning import DEFAULT_BINS
 from .metrics import (
+    AXES,
     NAMED_METRICS,
     EmptyMeasurementError,
     MetricConfig,
@@ -68,7 +70,7 @@ def _add_metric_flags(sub: argparse.ArgumentParser) -> None:
     g = sub.add_argument_group("metric axes")
     g.add_argument("--named", choices=sorted(NAMED_METRICS),
                    help="use a named metric instead of individual axes")
-    g.add_argument("--binning", choices=("even", "adaptive"),
+    g.add_argument("--binning", choices=AXES["binning"],
                    help="bin placement (default even)")
     g.add_argument("--bins", type=int, default=None,
                    help=f"bin count (default {DEFAULT_BINS})")
@@ -82,7 +84,7 @@ def _add_metric_flags(sub: argparse.ArgumentParser) -> None:
     g.add_argument("--threshold", type=float, default=None,
                    help="drop full-view entries with score <= threshold "
                         "(default 0, i.e. keep all)")
-    g.add_argument("--norm", choices=("l1", "l2"),
+    g.add_argument("--norm", choices=AXES["norm"],
                    help="per-pool aggregation (default l1)")
     g.add_argument("--config", metavar="JSON",
                    help="run-config JSON file; explicit flags override it")
@@ -93,7 +95,7 @@ def _resolve_metric(args) -> MetricConfig:
     if getattr(args, "named", None) is not None:
         base.named = args.named
     else:
-        for field in ("binning", "max_probs", "class_conditional", "threshold", "norm"):
+        for field in AXES:
             value = getattr(args, field, None)
             if value is not None:
                 base.named = None
@@ -126,15 +128,7 @@ def _parse_named_inputs(pairs: list[str]) -> dict[str, PredictionSet]:
     return out
 
 
-def _config_row(i: int, cfg: MetricConfig) -> list:
-    kind, max_probs, class_conditional, threshold, norm = cfg.axis_tuple()
-    return [i, kind, max_probs, class_conditional, threshold, norm]
-
-
-ALL_32_HEADER = [
-    "index", "binning", "max_probs", "class_conditional", "threshold", "norm",
-    "bins", "score",
-]
+ALL_32_HEADER = ["index", *AXES, "bins", "score"]
 
 
 def cmd_measure(args) -> int:
@@ -145,7 +139,7 @@ def cmd_measure(args) -> int:
         rows = []
         for i in range(32):
             cfg = index_to_config(i, bins)
-            rows.append(_config_row(i, cfg) + [bins, gce(p, cfg).value])
+            rows.append([i, *cfg.axis_tuple(), bins, gce(p, cfg).value])
         for row in rows:
             print(",".join(map(format_value, row)))
         if args.output:
@@ -165,7 +159,7 @@ def cmd_measure(args) -> int:
         print(",".join(map(format_value, row)))
     if args.output:
         doc = {
-            "config": dict(zip(ALL_32_HEADER[1:6], cfg.axis_tuple())),
+            "config": dict(zip(AXES, cfg.axis_tuple())),
             "bins": cfg.binning.n_bins,
             "score": score.value,
             "per_class": score.per_class,
@@ -187,7 +181,9 @@ def _write_report_rows(path: str, header: list[str], rows: list[list]) -> None:
 
 def cmd_recalibrate(args) -> int:
     data = _load_predictions(args)
-    if RECALIBRATORS[args.method].logits and not isinstance(data, LogitSet):
+    if not RECALIBRATORS[args.method].logits:
+        data = _as_probs(data)
+    elif not isinstance(data, LogitSet):
         raise UsageError(
             f"method {args.method!r} requires logits input; pass --logits "
             "with a logit-valued file"
@@ -254,12 +250,12 @@ def cmd_sweep_bins(args) -> int:
         cfg = index_to_config(i)
         for j, b in enumerate(result.bins):
             for m, name in enumerate(result.method_names):
-                rows.append(_config_row(i, cfg) + [b, name, result.scores[i, j, m]])
+                rows.append([i, *cfg.axis_tuple(), b, name, result.scores[i, j, m]])
             if result.baseline_scores is not None:
                 rows.append(
-                    _config_row(i, cfg) + [b, "(uncalibrated)", result.baseline_scores[i, j]]
+                    [i, *cfg.axis_tuple(), b, "(uncalibrated)", result.baseline_scores[i, j]]
                 )
-    header = ALL_32_HEADER[:6] + ["bin_count", "method", "score"]
+    header = ["index", *AXES, "bin_count", "method", "score"]
     write_table(f"{args.output_prefix}.cells.csv", header, rows)
     write_json(
         f"{args.output_prefix}.summary.json",
@@ -302,7 +298,7 @@ def cmd_rank_methods(args) -> int:
             "methods": list(table.methods),
             "bins": bins,
             "configs": [
-                dict(zip(ALL_32_HEADER[:6], _config_row(metric_index(cfg), cfg)))
+                dict(zip(["index", *AXES], [metric_index(cfg), *cfg.axis_tuple()]))
                 for cfg in table.configs
             ],
         },
@@ -413,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--uncalibrated", help="optional baseline probability CSV")
     s.add_argument("--bins", nargs="+", type=int, default=list(DEFAULT_SWEEP_BINS),
                    help="bin counts to sweep (default 10 20 30 40 50)")
-    s.add_argument("--variant", choices=("spearman", "footrule"),
-                   default="spearman")
+    s.add_argument("--variant", choices=RANK_VARIANTS, default=RANK_VARIANTS[0])
     s.add_argument("--output-prefix", required=True,
                    help="writes <prefix>.cells.csv and <prefix>.summary.json")
     add_seed(s)

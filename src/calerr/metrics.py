@@ -62,13 +62,16 @@ from .predictions import PredictionSet, full_prob_view, max_prob_view
 
 NORMS = ("l1", "l2")
 
-# Axis orders behind the 0..31 index. Within each axis the listed order is
-# the nesting order: even before adaptive, True before False, 0.0 before
-# 0.01, l1 before l2.
-_BINNING_ORDER = BIN_KINDS
-_FLAG_ORDER = (True, False)
-_THRESHOLD_ORDER = (0.0, 0.01)
-_NORM_ORDER = NORMS
+# The five axes, outermost first, each with its values in index order.  A
+# config's index reads the positions of its values as the digits of a
+# mixed-radix number over this table; see metric_index.
+AXES = {
+    "binning": BIN_KINDS,
+    "max_probs": (True, False),
+    "class_conditional": (True, False),
+    "threshold": (0.0, 0.01),
+    "norm": NORMS,
+}
 
 
 class EmptyMeasurementError(ValueError):
@@ -134,30 +137,23 @@ def metric_index(cfg: MetricConfig) -> int:
     threshold, norm.  Only thresholds on the standard grid (0.0, 0.01) are
     indexable; other configs are valid to score but have no index.
     """
-    if cfg.threshold not in _THRESHOLD_ORDER:
-        raise ValueError(
-            f"threshold {cfg.threshold} is off the standard grid {_THRESHOLD_ORDER}"
-        )
-    return (
-        _BINNING_ORDER.index(cfg.binning.kind) * 16
-        + _FLAG_ORDER.index(cfg.max_probs) * 8
-        + _FLAG_ORDER.index(cfg.class_conditional) * 4
-        + _THRESHOLD_ORDER.index(cfg.threshold) * 2
-        + _NORM_ORDER.index(cfg.norm)
-    )
+    index = 0
+    for (axis, values), value in zip(AXES.items(), cfg.axis_tuple()):
+        if value not in values:
+            raise ValueError(f"{axis} {value} is off the standard grid {values}")
+        index = index * len(values) + values.index(value)
+    return index
 
 
 def index_to_config(index: int, n_bins: int = DEFAULT_BINS) -> MetricConfig:
     """Inverse of :func:`metric_index` at a chosen bin count."""
     if not 0 <= index < 32:
         raise ValueError(f"metric index must lie in [0, 32), got {index}")
-    return MetricConfig(
-        binning=BinScheme(_BINNING_ORDER[index // 16], n_bins),
-        max_probs=_FLAG_ORDER[(index // 8) % 2],
-        class_conditional=_FLAG_ORDER[(index // 4) % 2],
-        threshold=_THRESHOLD_ORDER[(index // 2) % 2],
-        norm=_NORM_ORDER[index % 2],
-    )
+    chosen = {}
+    for axis, values in reversed(AXES.items()):
+        index, digit = divmod(index, len(values))
+        chosen[axis] = values[digit]
+    return MetricConfig(**{**chosen, "binning": BinScheme(chosen["binning"], n_bins)})
 
 
 def all_configs(n_bins: int = DEFAULT_BINS) -> list[MetricConfig]:

@@ -125,6 +125,12 @@ def linear_objective(x: np.ndarray, labels: np.ndarray, n_out: int):
     return _dense_objective(x, labels, (np.shape(x)[1], n_out))
 
 
+def linear_probs(params: np.ndarray, x: np.ndarray, n_out: int) -> np.ndarray:
+    """softmax(x @ W.T + b) for the flat parameters of :func:`linear_objective`."""
+    weights, biases = _unpack(params, (np.shape(x)[1], n_out))
+    return row_softmax(_dense_forward(weights, biases, x)[1])
+
+
 def nll(p: PredictionSet, floor: float = 1e-12) -> float:
     """Mean negative log likelihood of the true labels under ``p``."""
     picked = p.probs[np.arange(p.n_points), p.labels]
@@ -467,17 +473,15 @@ def fit_temperature(
     val: LogitSet,
     objective: str = "nll",
     metric: MetricConfig | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 500,
 ) -> TemperatureModel:
     """Fit T > 0 minimizing NLL or a binned calibration error on the logits.
 
     The search runs over log T so positivity holds by construction.  The
     ``gce`` objective scores softmax(logits / T) under ``metric`` (default:
     the standard even-bin max-prob L1 metric at its default bin count).  If
-    Nelder-Mead exhausts ``max_iter`` without converging, a golden-section
-    pass over the standard temperature bracket refines the result and the
-    model is returned with ``converged=False``.
+    Nelder-Mead exhausts its default iteration budget without converging, a
+    golden-section pass over the standard temperature bracket refines the
+    result and the model is returned with ``converged=False``.
     """
     if objective not in TEMPERATURE_OBJECTIVES:
         raise ValueError(f"objective must be 'nll' or 'gce', got {objective!r}")
@@ -500,7 +504,7 @@ def fit_temperature(
         grid_values = [f(np.array([g])) for g in _LOG_T_GRID]
         start = np.array([_LOG_T_GRID[int(np.argmin(grid_values))]])
 
-    result = nelder_mead(f, start, tol=tol, max_iter=max_iter)
+    result = nelder_mead(f, start)
     best_x, best_v = float(result.x[0]), result.value
     if not result.converged:
         fallback = _golden_section(f, float(_LOG_T_GRID[0]), float(_LOG_T_GRID[-1]))
@@ -518,13 +522,17 @@ def apply_temperature(model: TemperatureModel, test: LogitSet) -> PredictionSet:
 # Affine scaling (Platt / vector / matrix)
 # ---------------------------------------------------------------------------
 
+# In order of the weight's number of axes: one scalar a, one weight per
+# class (the diagonal of W), or the full K x K matrix W.
 AFFINE_KINDS = ("platt", "vector", "matrix")
 
 
 @dataclasses.dataclass(frozen=True)
 class AffineScalingModel(_Model):
-    """Affine logit map: scalar a,b (platt), diagonal W,b (vector), full W,b.
+    """Affine logit map z -> z W^T + b, or z * W + b when W is not 2-D.
 
+    The weight's shape is the kind: 0-d (platt), ``(K,)`` (vector) or
+    ``(K, K)`` (matrix); the bias is 0-d for platt, else ``(K,)``.
     ``binary`` marks the classic two-class Platt form, a sigmoid on the
     logit difference z1 - z0; multiclass Platt applies a,b uniformly to the
     whole logit vector.
@@ -544,10 +552,13 @@ class AffineScalingModel(_Model):
 def affine_objective(logits: np.ndarray, labels: np.ndarray, kind: str):
     """(f_and_grad, x0) for the NLL of an affine logit map.
 
-    Parameters travel as one flat vector so the optimizer and the gradient
-    checker can stay generic.  For ``platt`` on K=2 the classic binary form
-    is used: p1 = sigmoid(a (z1 - z0) + b).
+    Parameters travel as one flat vector, the weight's entries and then the
+    bias's, so the optimizer and the gradient checker can stay generic.
+    For ``platt`` on K=2 the classic binary form is used:
+    p1 = sigmoid(a (z1 - z0) + b).
     """
+    if kind not in AFFINE_KINDS:
+        raise ValueError(f"kind must be one of {AFFINE_KINDS}, got {kind!r}")
     z = np.asarray(logits, dtype=float)
     y = np.asarray(labels, dtype=int)
     n, k = z.shape
@@ -569,26 +580,17 @@ def affine_objective(logits: np.ndarray, labels: np.ndarray, kind: str):
 
         return f_and_grad, np.array([1.0, 0.0])
 
-    if kind == "platt":
-        def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
-            a, b = params
-            loss, gout = _nll_and_grad(a * z + b, y)
-            return loss, np.array([float((gout * z).sum()), float(gout.sum())])
-
-        return f_and_grad, np.array([1.0, 0.0])
-
-    if kind == "vector":
-        def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
-            w, b = params[:k], params[k:]
-            loss, gout = _nll_and_grad(z * w + b, y)
-            return loss, np.concatenate([(gout * z).sum(axis=0), gout.sum(axis=0)])
-
-        return f_and_grad, np.concatenate([np.ones(k), np.zeros(k)])
-
     if kind == "matrix":
         return linear_objective(z, y, k), np.concatenate([np.eye(k).ravel(), np.zeros(k)])
 
-    raise ValueError(f"kind must be one of {AFFINE_KINDS}, got {kind!r}")
+    # Platt and vector: softmax(z * w + b) with one (w, b) pair, or one per class.
+    n_w, axis = (1, None) if kind == "platt" else (k, 0)
+
+    def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
+        loss, gout = _nll_and_grad(z * params[:n_w] + params[n_w:], y)
+        return loss, np.hstack([(gout * z).sum(axis=axis), gout.sum(axis=axis)])
+
+    return f_and_grad, np.repeat([1.0, 0.0], n_w)
 
 
 def fit_affine_scaling(
@@ -598,17 +600,13 @@ def fit_affine_scaling(
     k = val.n_classes
     f_and_grad, x0 = affine_objective(val.logits, val.labels, kind)
     params = sgd_minimize(f_and_grad, x0, sgd)
-    if kind == "platt":
-        return AffineScalingModel(
-            kind=kind,
-            weight=np.asarray(params[0]),
-            bias=np.asarray(params[1]),
-            binary=(k == 2),
-        )
-    if kind == "vector":
-        return AffineScalingModel(kind=kind, weight=params[:k], bias=params[k:])
+    w_shape = (k,) * AFFINE_KINDS.index(kind)
+    n_w = math.prod(w_shape)
     return AffineScalingModel(
-        kind=kind, weight=params[: k * k].reshape(k, k), bias=params[k * k :]
+        kind=kind,
+        weight=params[:n_w].reshape(w_shape),
+        bias=params[n_w:].reshape(w_shape[:1]),
+        binary=kind == "platt" and k == 2,
     )
 
 
@@ -620,12 +618,8 @@ def apply_affine(model: AffineScalingModel, test: LogitSet) -> PredictionSet:
         with np.errstate(over="ignore"):  # inf gives the sigmoid's 0 limit
             p1 = 1.0 / (1.0 + np.exp(-t))
         return PredictionSet(np.column_stack([1.0 - p1, p1]), test.labels)
-    if model.kind == "platt":
-        out = float(model.weight) * z + float(model.bias)
-    elif model.kind == "vector":
-        out = z * model.weight + model.bias
-    else:
-        out = z @ model.weight.T + model.bias
+    w = model.weight
+    out = z @ w.T + model.bias if np.ndim(w) == 2 else z * w + model.bias
     return PredictionSet(row_softmax(out), test.labels)
 
 

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# One BLAS thread unless the caller chose otherwise: the suite's matrix
+# products are small, and extra threads only contend for the cores when two
+# test runs share a host.  BLAS reads these when numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from calerr import PredictionSet

@@ -198,11 +198,12 @@ def assert_text_close(got: str, want: str, atol: float) -> None:
 
 
 class TestRecalibrateGolden:
-    """Every method against outputs recorded before the method table existed.
+    """Every method against outputs recorded before the method table existed,
+    and the report commands against outputs recorded before the axis table.
 
-    Exact bytes for the histogram, isotonic and temperature fits; 1e-10 for
-    the SGD-trained methods, whose sums may round differently on another
-    BLAS.
+    Exact bytes for the histogram, isotonic and temperature fits and the
+    report commands; 1e-10 for the SGD-trained methods, whose sums may round
+    differently on another BLAS.
     """
 
     GOLDEN = json.loads(golden.GOLDEN_PATH.read_text())
@@ -224,6 +225,16 @@ class TestRecalibrateGolden:
                 np.testing.assert_allclose(got[key], value, rtol=1e-10, atol=1e-10)
             else:
                 assert_text_close(str(got[key]), str(value), 1e-10)
+
+    @pytest.mark.parametrize(
+        "case", golden.CLI_CASES, ids=[c[0] for c in golden.CLI_CASES]
+    )
+    def test_report_commands_match_golden(self, case, tmp_path):
+        # measure --all-32 --output, sweep-bins and rank-methods, byte for byte.
+        name, argv, written = case
+        for file, text in self.GOLDEN["inputs"].items():
+            (tmp_path / file).write_text(text)
+        assert golden.run_cli_case(argv, written, tmp_path) == self.GOLDEN["cli"][name]
 
     def test_saturated_binary_platt_is_silent(self, tmp_path):
         # A fresh interpreter, so numpy warnings reach stderr as a user sees them.

@@ -33,6 +33,7 @@ from calerr import (
     model_from_dict,
     model_to_dict,
     nll,
+    row_softmax,
     sample_overconfident_logits,
     softmax,
 )
@@ -43,6 +44,7 @@ from calerr.recalibrate import (
     IsotonicModel,
     IsotonicMulticlassModel,
     TemperatureModel,
+    _nll_and_grad,
     _pava,
     run_recalibrator,
 )
@@ -369,11 +371,48 @@ class TestAffine:
         assert grad_check(f, np.array([0.7, -0.2])) < 1e-5
 
     def test_parameter_shapes(self):
-        lg = sample_overconfident_logits(200, 4, 0)
+        # The weight's shape is the kind; only Platt at K = 2 is binary.
         quick = SgdConfig(iterations=5)
-        assert fit_affine_scaling(lg, "platt", quick).weight.shape == ()
-        assert fit_affine_scaling(lg, "vector", quick).weight.shape == (4,)
-        assert fit_affine_scaling(lg, "matrix", quick).weight.shape == (4, 4)
+        for k in (2, 4):
+            lg = sample_overconfident_logits(200, k, 0)
+            for kind, w_shape, b_shape in (
+                ("platt", (), ()), ("vector", (k,), (k,)), ("matrix", (k, k), (k,)),
+            ):
+                model = fit_affine_scaling(lg, kind, quick)
+                assert model.weight.shape == w_shape
+                assert model.bias.shape == b_shape
+                assert model.binary == (kind == "platt" and k == 2)
+
+    def test_shared_forms_match_per_kind_formulas(self, rng):
+        # The per-kind objectives and maps the shared forms replaced, bit for bit.
+        z = 3.0 * rng.standard_normal((40, 5))
+        y = rng.integers(0, 5, 40)
+
+        def platt(params):
+            a, b = params
+            loss, gout = _nll_and_grad(a * z + b, y)
+            return loss, np.array([float((gout * z).sum()), float(gout.sum())])
+
+        def vector(params):
+            loss, gout = _nll_and_grad(z * params[:5] + params[5:], y)
+            return loss, np.concatenate([(gout * z).sum(axis=0), gout.sum(axis=0)])
+
+        for kind, reference in (("platt", platt), ("vector", vector)):
+            f, x0 = affine_objective(z, y, kind)
+            for params in (x0, x0 + rng.standard_normal(x0.shape)):
+                loss, grad = f(params)
+                want_loss, want_grad = reference(params)
+                assert loss == want_loss
+                assert np.array_equal(grad, want_grad)
+        lg = LogitSet(z, y)
+        quick = SgdConfig(iterations=20)
+        m = fit_affine_scaling(lg, "platt", quick)
+        want = row_softmax(float(m.weight) * z + float(m.bias))
+        assert np.array_equal(apply_affine(m, lg).probs, want)
+        m = fit_affine_scaling(lg, "vector", quick)
+        assert np.array_equal(apply_affine(m, lg).probs, row_softmax(z * m.weight + m.bias))
+        m = fit_affine_scaling(lg, "matrix", quick)
+        assert np.array_equal(apply_affine(m, lg).probs, row_softmax(z @ m.weight.T + m.bias))
 
     def test_binary_platt_depends_on_logit_difference(self):
         rng = np.random.default_rng(0)
