@@ -11,19 +11,13 @@ of scope.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .binning import DEFAULT_BINS
-from .metrics import (
-    AXES,
-    MetricConfig,
-    all_configs,
-    gce,
-    index_to_config,
-    named_metric,
-)
+from .metrics import AXES, MetricConfig, all_configs, gce_many, named_metric
 from .optimize import SgdConfig, sgd_minimize
 from .predictions import LogitSet, PredictionSet, max_prob_view, row_softmax
 from .recalibrate import (
@@ -122,40 +116,28 @@ def bin_sensitivity_sweep(
         method_names = tuple(f"method_{m}" for m in range(len(recalibrated)))
     elif len(method_names) != len(recalibrated):
         raise ValueError("method_names must parallel the recalibrated sets")
-    n_methods = len(recalibrated)
-    n_bins_axis = len(bins)
+    configs = [cfg for b in bins for cfg in all_configs(b)]
 
-    scores = np.empty((32, n_bins_axis, n_methods))
-    baseline = np.empty((32, n_bins_axis)) if p is not None else None
-    for i in range(32):
-        for j, b in enumerate(bins):
-            cfg = index_to_config(i, b)
-            for m, rp in enumerate(recalibrated):
-                scores[i, j, m] = gce(rp, cfg).value
-            if p is not None:
-                baseline[i, j] = gce(p, cfg).value
+    def score_grid(q: PredictionSet) -> np.ndarray:  # (variant, bin count)
+        values = [score.value for score in gce_many(q, configs)]
+        return np.array(values).reshape(len(bins), -1).T
 
-    ranks = np.empty_like(scores)
-    for i in range(32):
-        for j in range(n_bins_axis):
-            ranks[i, j] = average_ranks(scores[i, j])
-
-    mean_corr = np.empty(32)
-    for i in range(32):
-        pair_values = [
-            rank_correlation(ranks[i, j1], ranks[i, j2], variant)
-            for j1 in range(n_bins_axis)
-            for j2 in range(j1 + 1, n_bins_axis)
-        ]
-        mean_corr[i] = float(np.mean(pair_values)) if pair_values else 1.0
+    scores = np.stack([score_grid(rp) for rp in recalibrated], axis=-1)
+    baseline = score_grid(p) if p is not None else None
+    ranks = np.apply_along_axis(average_ranks, -1, scores)
+    pairs = list(itertools.combinations(range(len(bins)), 2))
+    mean_corr = np.array([
+        np.mean([rank_correlation(r[a], r[b], variant) for a, b in pairs] or [1.0])
+        for r in ranks
+    ])
 
     group: dict[str, dict[str, float]] = {}
-    axis_tuples = [index_to_config(i).axis_tuple() for i in range(32)]
+    axis_tuples = [cfg.axis_tuple() for cfg in all_configs()]
     for pos, (axis, axis_values) in enumerate(AXES.items()):
         group[axis] = {
-            str(v): float(
-                np.mean([mean_corr[i] for i in range(32) if axis_tuples[i][pos] == v])
-            )
+            str(v): float(np.mean(
+                [c for c, axes in zip(mean_corr, axis_tuples) if axes[pos] == v]
+            ))
             for v in sorted(axis_values, key=repr)
         }
 
@@ -210,15 +192,15 @@ def rank_methods(
     if configs is None:
         configs = all_configs(n_bins)
     configs = tuple(configs)
-    scores = np.empty((len(methods), len(configs)))
-    for c, cfg in enumerate(configs):
-        for m, name in enumerate(methods):
-            scores[m, c] = gce(recalibrated[name], cfg).value
-    ranks = np.column_stack([average_ranks(scores[:, c]) for c in range(len(configs))])
-    order = tuple(
-        tuple(methods[m] for m in np.argsort(scores[:, c], kind="stable"))
-        for c in range(len(configs))
-    )
+    if not configs:
+        raise ValueError("configs list must be non-empty")
+    scores = np.array([
+        [score.value for score in gce_many(recalibrated[name], configs)]
+        for name in methods
+    ])
+    ranks = np.apply_along_axis(average_ranks, 0, scores)
+    best_first = np.argsort(scores, axis=0, kind="stable").T
+    order = tuple(tuple(methods[m] for m in column) for column in best_first)
     return RankTable(
         methods=methods, configs=configs, scores=scores, ranks=ranks, order=order
     )
@@ -298,9 +280,7 @@ def label_noise_experiment(
     y_test = data_rng.integers(0, n_classes, n_test)
     x_test = means[y_test] + data_rng.standard_normal((n_test, n_features))
 
-    ece_cfg = named_metric("ECE", n_bins)
-    sce_cfg = named_metric("SCE", n_bins)
-    ace_cfg = named_metric("ACE", n_bins)
+    named = [named_metric(name, n_bins) for name in ("ECE", "SCE", "ACE")]
 
     results = []
     for idx, level in enumerate(levels):
@@ -321,15 +301,16 @@ def label_noise_experiment(
         non_max = np.ones_like(probs, dtype=bool)
         non_max[np.arange(n_test), view.class_index] = False
         omitted = float(np.count_nonzero(probs[non_max] > threshold) / non_max.sum())
+        ece, sce, ace = (score.value for score in gce_many(p, named))
 
         results.append(
             NoiseLevelResult(
                 noise=level,
                 accuracy=float(np.mean(view.correct)),
                 mean_max_confidence=float(np.mean(view.scores)),
-                ece=gce(p, ece_cfg).value,
-                sce=gce(p, sce_cfg).value,
-                ace=gce(p, ace_cfg).value,
+                ece=ece,
+                sce=sce,
+                ace=ace,
                 omitted_fraction=omitted,
             )
         )

@@ -13,19 +13,20 @@ looking scores up against the midpoint edges: under heavy ties several runs
 can share identical boundary scores, and position is what keeps run sizes
 balanced.
 
-The engine is :func:`bin_totals`.  It takes the scores of a view split into
-pools (one pool, one pool per class, or one pool per column of a matrix),
-plus the positions of the correct entries, and returns per-(pool, bin)
-arrays of entry counts, score sums and correct counts.  Even binning is one
-``bincount`` on the key ``pool * B + bin``; adaptive binning ranks each
-entry within its pool by a stable sort and maps the rank to its run.
-:class:`BinStats` is the reporting form of one bin, built from those arrays
-by :func:`bin_stats` and :func:`pool_bin_stats`.
+The engine is :func:`bin_totals`.  It takes a :class:`PooledScores`: the
+scores of a view split into pools (one, one per class, or one per column of
+a matrix) and the positions of the correct entries.  It returns per-(pool,
+bin) arrays of entry counts, score sums and correct counts.  Even binning is
+one ``bincount`` on the key ``pool * B + bin``; adaptive binning maps each
+entry's rank in the view's stable sort, made once and shared by every bin
+count, to its run.  :class:`BinStats` is the reporting form of one bin,
+built from those arrays by :func:`bin_stats` and :func:`pool_bin_stats`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -96,21 +97,40 @@ def adaptive_counts(n_scores, n_bins: int) -> np.ndarray:
     return base + (np.arange(n_bins) < extra)
 
 
-def _pool_order(
-    scores: np.ndarray, pools: np.ndarray | None, n_pools: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort order within each pool, and the pool sizes.
+@dataclasses.dataclass(frozen=True, eq=False)
+class PooledScores:
+    """A score view split into pools, the input of :func:`bin_totals`.
 
-    1-D entries are ordered by (pool, score), so the pools lie end to end
-    in pool order.  A 2-D matrix is sorted column by column and ``order``
-    holds row indices.  Ties keep their input order either way.
+    ``scores`` is either a 1-D array of entries, entry i in pool ``pools[i]``
+    (every entry in pool 0 when ``pools`` is None), or a 2-D matrix whose
+    column j is pool j.  ``hits`` holds the positions in ``scores.ravel()``
+    of the entries that score their datapoint's true class.
     """
-    if scores.ndim == 2:
-        n, k = scores.shape
-        return np.argsort(scores, axis=0, kind="stable"), np.full(k, n)
-    if pools is None:
-        return np.argsort(scores, kind="stable"), np.array([scores.shape[0]])
-    return np.lexsort((scores, pools)), np.bincount(pools, minlength=n_pools)
+
+    scores: np.ndarray
+    hits: np.ndarray
+    pools: np.ndarray | None
+    n_pools: int
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        """Stable sort within each pool, made once, on first use.
+
+        1-D entries sort by (pool, score), so the pools lie end to end; a 2-D
+        matrix sorts column by column.  Ties keep their input order.
+        """
+        if self.pools is None:
+            return np.argsort(self.scores, axis=0, kind="stable")
+        return np.lexsort((self.scores, self.pools))
+
+    @functools.cached_property
+    def sizes(self) -> np.ndarray:
+        """Number of entries in each pool."""
+        if self.scores.ndim == 2:
+            return np.full(self.n_pools, self.scores.shape[0])
+        if self.pools is None:
+            return np.array([self.scores.shape[0]])
+        return np.bincount(self.pools, minlength=self.n_pools)
 
 
 def _sorted_runs(sizes: np.ndarray, n_bins: int) -> np.ndarray:
@@ -120,45 +140,35 @@ def _sorted_runs(sizes: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def bin_totals(
-    scores: np.ndarray,
-    hits: np.ndarray,
-    scheme: BinScheme,
-    pools: np.ndarray | None = None,
-    n_pools: int = 1,
+    view: PooledScores, scheme: BinScheme
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-(pool, bin) entry counts, score sums and correct counts.
 
-    ``scores`` is either a 1-D array of entries, entry i in pool ``pools[i]``
-    (every entry in pool 0 when ``pools`` is None), or a 2-D matrix whose
-    column j is pool j.  ``hits`` holds the positions in ``scores.ravel()``
-    of the entries that score their datapoint's true class.  Returns three
-    ``(n_pools, n_bins)`` arrays: counts, confidence sums and correct counts.
-    Empty pools and bins hold zeros.
+    Returns three ``(view.n_pools, n_bins)`` arrays: counts, confidence sums
+    and correct counts.  Empty pools and bins hold zeros.
     """
     b = scheme.n_bins
-    if scores.ndim == 2:
-        n_pools = scores.shape[1]
-        offsets = np.arange(n_pools) * b
+    if view.scores.ndim == 2:
+        offsets = np.arange(view.n_pools) * b
     else:
-        offsets = 0 if pools is None else pools * b
+        offsets = 0 if view.pools is None else view.pools * b
     if scheme.kind == "even":
-        keys = assign_even_bins(scores, b)
+        keys = assign_even_bins(view.scores, b)
     else:
-        order, sizes = _pool_order(scores, pools, n_pools)
-        keys = np.empty_like(order)
-        if scores.ndim == 2:  # every column holds the same runs
-            runs = _sorted_runs(sizes[:1], b)[:, None]
-            np.put_along_axis(keys, order, runs, axis=0)
+        keys = np.empty_like(view.order)
+        if view.scores.ndim == 2:  # every column holds the same runs
+            runs = _sorted_runs(view.sizes[:1], b)[:, None]
+            np.put_along_axis(keys, view.order, runs, axis=0)
         else:
-            keys[order] = _sorted_runs(sizes, b)
+            keys[view.order] = _sorted_runs(view.sizes, b)
     keys += offsets
     keys = keys.ravel()
-    shape = (n_pools, b)
-    size = n_pools * b
+    shape = (view.n_pools, b)
+    size = view.n_pools * b
     return (
         np.bincount(keys, minlength=size).reshape(shape),
-        np.bincount(keys, weights=scores.ravel(), minlength=size).reshape(shape),
-        np.bincount(keys[hits], minlength=size).reshape(shape),
+        np.bincount(keys, weights=view.scores.ravel(), minlength=size).reshape(shape),
+        np.bincount(keys[view.hits], minlength=size).reshape(shape),
     )
 
 
@@ -198,34 +208,26 @@ def adaptive_edges(scores: np.ndarray, n_bins: int) -> np.ndarray:
     return _midpoint_edges(s, np.array([s.shape[0]]), n_bins)[0]
 
 
-def pool_bin_stats(
-    scores: np.ndarray,
-    hits: np.ndarray,
-    scheme: BinScheme,
-    pools: np.ndarray | None = None,
-    n_pools: int = 1,
-) -> list[list[BinStats]]:
+def pool_bin_stats(view: PooledScores, scheme: BinScheme) -> list[list[BinStats]]:
     """The bins of :func:`bin_totals` as one list of :class:`BinStats` per pool.
 
-    Takes the arguments of :func:`bin_totals`.  Bins are tagged with their
-    pool index when the scores are pooled (``pools`` given or a 2-D matrix),
-    else with None.  Empty bins read accuracy = confidence = 0.
+    Bins are tagged with their pool index when the scores are pooled
+    (``pools`` given or a 2-D matrix), else with None.  Empty bins read
+    accuracy = confidence = 0.
     """
     b = scheme.n_bins
-    counts, conf_sums, correct_sums = bin_totals(scores, hits, scheme, pools, n_pools)
-    n_pools = counts.shape[0]
+    counts, conf_sums, correct_sums = bin_totals(view, scheme)
     if scheme.kind == "even":
-        edges = np.broadcast_to(even_edges(b), (n_pools, b + 1))
+        edges = np.broadcast_to(even_edges(b), (view.n_pools, b + 1))
     else:
-        order, sizes = _pool_order(scores, pools, n_pools)
-        ordered = np.take_along_axis(scores, order, axis=0)
-        edges = _midpoint_edges(ordered.T.ravel(), sizes, b)
+        ordered = np.take_along_axis(view.scores, view.order, axis=0)
+        edges = _midpoint_edges(ordered.T.ravel(), view.sizes, b)
     occupied = np.maximum(counts, 1)
     columns = zip(
         edges[:, :-1].tolist(), edges[:, 1:].tolist(), counts.tolist(),
         (correct_sums / occupied).tolist(), (conf_sums / occupied).tolist(),
     )
-    pooled = pools is not None or scores.ndim == 2
+    pooled = view.pools is not None or view.scores.ndim == 2
     return [
         [
             BinStats(lo, hi, c, acc, conf, class_index=k if pooled else None)
@@ -244,4 +246,5 @@ def bin_stats(preds: ScoredPredictions, scheme: BinScheme) -> list[BinStats]:
     """
     if scheme.kind == "adaptive" and len(preds) == 0:
         raise ValueError("adaptive binning needs at least one prediction")
-    return pool_bin_stats(preds.scores, np.flatnonzero(preds.correct), scheme)[0]
+    view = PooledScores(preds.scores, np.flatnonzero(preds.correct), None, 1)
+    return pool_bin_stats(view, scheme)[0]

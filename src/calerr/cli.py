@@ -25,9 +25,10 @@ from .metrics import (
     NAMED_METRICS,
     EmptyMeasurementError,
     MetricConfig,
+    all_configs,
     binned_stats,
     gce,
-    index_to_config,
+    gce_many,
     metric_index,
 )
 from .optimize import DivergenceError
@@ -136,10 +137,10 @@ def cmd_measure(args) -> int:
     p = _as_probs(data)
     if args.all_32:
         bins = args.bins if args.bins is not None else DEFAULT_BINS
-        rows = []
-        for i in range(32):
-            cfg = index_to_config(i, bins)
-            rows.append([i, *cfg.axis_tuple(), bins, gce(p, cfg).value])
+        rows = [
+            [i, *score.config.axis_tuple(), bins, score.value]
+            for i, score in enumerate(gce_many(p, all_configs(bins)))
+        ]
         for row in rows:
             print(",".join(map(format_value, row)))
         if args.output:
@@ -246,8 +247,7 @@ def cmd_sweep_bins(args) -> int:
         variant=args.variant,
     )
     rows = []
-    for i in range(32):
-        cfg = index_to_config(i)
+    for i, cfg in enumerate(all_configs()):
         for j, b in enumerate(result.bins):
             for m, name in enumerate(result.method_names):
                 rows.append([i, *cfg.axis_tuple(), b, name, result.scores[i, j, m]])

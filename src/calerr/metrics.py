@@ -35,18 +35,20 @@ small standard threshold could not drop it anyway).
 Variants are indexed 0..31 by nesting the axes with binning outermost and
 norm innermost; see :func:`metric_index`.
 
-Scoring runs on arrays.  The config's score view is split into pools (one,
-or one per class) and :func:`calerr.binning.bin_totals` reduces it to
-per-(pool, bin) arrays of counts, confidence sums and correct counts.  Pool
-errors and the mean over classes are array operations on those totals.
-:func:`binned_stats` formats the same totals as :class:`BinStats` records
-for reporting.
+Scoring runs on arrays.  :func:`gce_many` scores a list of configs in one
+pass: each distinct score view is split into pools (a
+:class:`calerr.binning.PooledScores`, sorted at most once) and reduced by
+:func:`calerr.binning.bin_totals` to per-(pool, bin) counts, confidence
+sums and correct counts, shared across norms.  Pool errors and the class
+mean are array operations on those totals; :func:`gce` is the one-config
+case and :func:`binned_stats` formats the totals as :class:`BinStats`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping
+import itertools
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,6 +57,7 @@ from .binning import (
     DEFAULT_BINS,
     BinScheme,
     BinStats,
+    PooledScores,
     bin_totals,
     pool_bin_stats,
 )
@@ -147,18 +150,18 @@ def metric_index(cfg: MetricConfig) -> int:
 
 def index_to_config(index: int, n_bins: int = DEFAULT_BINS) -> MetricConfig:
     """Inverse of :func:`metric_index` at a chosen bin count."""
-    if not 0 <= index < 32:
+    configs = all_configs(n_bins)
+    if not 0 <= index < len(configs):
         raise ValueError(f"metric index must lie in [0, 32), got {index}")
-    chosen = {}
-    for axis, values in reversed(AXES.items()):
-        index, digit = divmod(index, len(values))
-        chosen[axis] = values[digit]
-    return MetricConfig(**{**chosen, "binning": BinScheme(chosen["binning"], n_bins)})
+    return configs[index]
 
 
 def all_configs(n_bins: int = DEFAULT_BINS) -> list[MetricConfig]:
     """All 32 variants in index order at one bin count."""
-    return [index_to_config(i, n_bins) for i in range(32)]
+    return [
+        MetricConfig(BinScheme(kind, n_bins), *rest)
+        for kind, *rest in itertools.product(*AXES.values())
+    ]
 
 
 def named_metric(name: str, n_bins: int = DEFAULT_BINS) -> MetricConfig:
@@ -171,8 +174,8 @@ def named_metric(name: str, n_bins: int = DEFAULT_BINS) -> MetricConfig:
     return index_to_config(NAMED_METRICS[key], n_bins)
 
 
-def _pooled_view(p: PredictionSet, cfg: MetricConfig) -> tuple:
-    """The config's score view as ``(scores, hits, pools, n_pools)`` for bin_totals.
+def _pooled_view(p: PredictionSet, cfg: MetricConfig) -> PooledScores:
+    """The config's score view, split into pools for bin_totals.
 
     The unthresholded full view reads the probability matrix directly: its
     flattened entries form one pool, or its columns one pool per class, and
@@ -180,19 +183,16 @@ def _pooled_view(p: PredictionSet, cfg: MetricConfig) -> tuple:
     """
     n, k = p.probs.shape
     if not cfg.max_probs and cfg.threshold == 0.0:
-        hits = np.arange(n) * k + p.labels
-        if cfg.class_conditional:
-            return p.probs, hits, None, k
-        return p.probs.ravel(), hits, None, 1
-    view = max_prob_view(p) if cfg.max_probs else full_prob_view(p, cfg.threshold)
-    if len(view) == 0:
-        raise EmptyMeasurementError(
-            f"no predictions survive threshold {cfg.threshold}"
-        )
-    hits = np.flatnonzero(view.correct)
+        scores = p.probs if cfg.class_conditional else p.probs.ravel()
+        hits, pools = np.arange(n) * k + p.labels, None
+    else:
+        view = max_prob_view(p) if cfg.max_probs else full_prob_view(p, cfg.threshold)
+        if len(view) == 0:
+            raise EmptyMeasurementError(f"no predictions survive threshold {cfg.threshold}")
+        scores, hits, pools = view.scores, np.flatnonzero(view.correct), view.class_index
     if cfg.class_conditional:
-        return view.scores, hits, view.class_index, k
-    return view.scores, hits, None, 1
+        return PooledScores(scores, hits, pools, k)
+    return PooledScores(scores, hits, None, 1)
 
 
 def binned_stats(p: PredictionSet, cfg: MetricConfig) -> list[BinStats]:
@@ -203,8 +203,7 @@ def binned_stats(p: PredictionSet, cfg: MetricConfig) -> list[BinStats]:
     zero-count placeholder bin spanning [0, 1] so downstream consumers see
     the class flagged rather than silently missing.
     """
-    scores, hits, pools, n_pools = _pooled_view(p, cfg)
-    pool_stats = pool_bin_stats(scores, hits, cfg.binning, pools, n_pools)
+    pool_stats = pool_bin_stats(_pooled_view(p, cfg), cfg.binning)
     out: list[BinStats] = []
     for k, pool in enumerate(pool_stats):
         if cfg.class_conditional and not any(st.count for st in pool):
@@ -241,17 +240,35 @@ def gce(p: PredictionSet, cfg: MetricConfig) -> CalibrationScore:
     reporting a perfect 0.  The l2 norm is the bin-weighted root mean square:
     the square root of the count-weighted mean squared gap.
     """
-    scores, hits, pools, n_pools = _pooled_view(p, cfg)
-    counts, conf_sums, correct_sums = bin_totals(
-        scores, hits, cfg.binning, pools, n_pools
-    )
-    errors = _pool_errors(counts, conf_sums, correct_sums, cfg.norm)
-    if not cfg.class_conditional:
-        return CalibrationScore(value=float(errors[0]), config=cfg)
-    live = np.flatnonzero(counts.any(axis=1))  # empty classes leave the mean
-    per_class = dict(zip(live.tolist(), errors[live].tolist()))
-    value = sum(per_class.values()) / len(per_class)
-    return CalibrationScore(value=value, config=cfg, per_class=per_class)
+    return gce_many(p, [cfg])[0]
+
+
+def gce_many(
+    p: PredictionSet, configs: Sequence[MetricConfig]
+) -> list[CalibrationScore]:
+    """:func:`gce` of each config, in order, scored in one pass.
+
+    Configs that agree on max_probs, class_conditional and the threshold (a
+    max-prob view ignores it) share one score view and its sort; l1 and l2
+    share bin totals.  Each score equals ``gce(p, cfg)`` bit for bit.
+    """
+    views, totals, out = {}, {}, []
+    for cfg in configs:
+        key = (cfg.max_probs, cfg.class_conditional, 0.0 if cfg.max_probs else cfg.threshold)
+        if key not in views:
+            views[key] = _pooled_view(p, cfg)
+        if (key, cfg.binning) not in totals:
+            totals[key, cfg.binning] = bin_totals(views[key], cfg.binning)
+        counts, conf_sums, correct_sums = totals[key, cfg.binning]
+        errors = _pool_errors(counts, conf_sums, correct_sums, cfg.norm)
+        if not cfg.class_conditional:
+            out.append(CalibrationScore(value=float(errors[0]), config=cfg))
+            continue
+        live = np.flatnonzero(counts.any(axis=1))  # empty classes leave the mean
+        per_class = dict(zip(live.tolist(), errors[live].tolist()))
+        value = sum(per_class.values()) / len(per_class)
+        out.append(CalibrationScore(value=value, config=cfg, per_class=per_class))
+    return out
 
 
 def brier_score(p: PredictionSet) -> float:

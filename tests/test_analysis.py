@@ -176,6 +176,14 @@ class TestRankMethods:
         with pytest.raises(ValueError):
             rank_methods(one, n_bins=5)
 
+    def test_empty_config_list_rejected(self):
+        sets = {
+            "a": PredictionSet(np.array([[0.8, 0.2], [0.3, 0.7]]), np.array([0, 1])),
+            "b": PredictionSet(np.array([[0.6, 0.4], [0.4, 0.6]]), np.array([1, 1])),
+        }
+        with pytest.raises(ValueError, match="configs list must be non-empty"):
+            rank_methods(sets, configs=[])
+
 
 class TestLabelNoise:
     def test_small_run_fields_and_determinism(self):

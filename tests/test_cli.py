@@ -332,6 +332,20 @@ class TestSweepAndRank:
             "even", "adaptive",
         }
 
+    def test_sweep_bins_threshold_that_empties_the_view(self, tmp_path, capsys):
+        # uniform rows at K = 200: every entry is 0.005, below the 0.01 threshold
+        path = tmp_path / "uniform.csv"
+        write_prediction_file(
+            path, calerr.PredictionSet(np.full((6, 200), 1 / 200), np.arange(6))
+        )
+        assert main([
+            "sweep-bins", "--inputs", f"a={path}", f"b={path}",
+            "--output-prefix", str(tmp_path / "x"),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no predictions survive threshold 0.01\n"
+
     def test_sweep_bins_needs_two_inputs(self, method_files, tmp_path):
         assert main([
             "sweep-bins", "--inputs", method_files[0],

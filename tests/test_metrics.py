@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,11 @@ from calerr import (
     binned_stats,
     brier_score,
     gce,
+    gce_many,
     index_to_config,
     metric_index,
     named_metric,
+    row_softmax,
 )
 from calerr.metrics import NAMED_METRICS
 
@@ -257,3 +261,66 @@ def test_edge_inputs_match_brute_force_oracle(name):
                     placeholder = [(s.lower, s.upper, s.count) for s in pool]
                     assert placeholder == [(0.0, 1.0, 0)]
 
+
+
+def _many_inputs() -> dict:
+    sets = {
+        f"random-{seed}": random_prediction_set(np.random.default_rng(seed))
+        for seed in range(8)
+    }
+    # K = 1000 with a clear top class, so entries survive 0.01 and 0.2
+    rng = np.random.default_rng(1000)
+    n, k = 12, 1000
+    z = 2.0 * rng.standard_normal((n, k))
+    top = rng.integers(0, k, n)
+    z[np.arange(n), top] += 9.0
+    labels = np.where(rng.random(n) < 0.5, top, rng.integers(0, k, n))
+    sets["k1000"] = PredictionSet(row_softmax(z), labels)
+    return sets
+
+
+MANY_INPUTS = _many_inputs()
+
+
+class TestGceMany:
+    @pytest.mark.parametrize("name", sorted(MANY_INPUTS))
+    def test_each_score_equals_a_fresh_gce(self, name):
+        p = MANY_INPUTS[name]
+        grid = [cfg for b in (1, 2, 5, 15) for cfg in all_configs(b)]
+        grid += [dataclasses.replace(cfg, threshold=0.2) for cfg in grid]
+        refs = {}
+        for cfg in grid:
+            binning, mp, cc, thr, norm = cfg.axis_tuple()
+            try:
+                refs[cfg] = oracle.brute_force_gce(
+                    p.probs, p.labels, binning, mp, cc, thr, norm, cfg.binning.n_bins
+                )
+            except ValueError:  # the threshold empties the view
+                with pytest.raises(EmptyMeasurementError):
+                    gce(p, cfg)
+        assert any(not cfg.max_probs and cfg.threshold == 0.2 for cfg in refs)
+        configs = list(refs) + list(refs)[::3]
+        shuffle = np.random.default_rng(5).permutation(len(configs))
+        configs = [configs[i] for i in shuffle]
+        scores = gce_many(p, configs)
+        assert [score.config for score in scores] == configs
+        for cfg, score in zip(configs, scores):
+            fresh = gce(p, cfg)
+            assert score.value == fresh.value, cfg
+            assert score.per_class == fresh.per_class, cfg
+            assert score.value == pytest.approx(refs[cfg], abs=1e-10), cfg
+
+    def test_empty_list_scores_nothing(self, tiny_preds):
+        assert gce_many(tiny_preds, []) == []
+
+    def test_threshold_that_empties_the_view_raises_like_gce(self):
+        p = PredictionSet(np.full((5, 200), 1 / 200), np.array([0, 3, 50, 199, 7]))
+        first_empty = next(
+            cfg for cfg in all_configs() if cfg.threshold and not cfg.max_probs
+        )
+        with pytest.raises(EmptyMeasurementError) as single:
+            gce(p, first_empty)
+        with pytest.raises(EmptyMeasurementError) as many:
+            gce_many(p, all_configs())
+        assert str(many.value) == str(single.value)
+        assert str(many.value) == "no predictions survive threshold 0.01"
