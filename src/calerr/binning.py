@@ -21,6 +21,11 @@ one ``bincount`` on the key ``pool * B + bin``; adaptive binning maps each
 entry's rank in the view's stable sort, made once and shared by every bin
 count, to its run.  :class:`BinStats` is the reporting form of one bin,
 built from those arrays by :func:`bin_stats` and :func:`pool_bin_stats`.
+
+A stable argsort is several times slower than numpy's default one, so a
+view without per-entry pool labels whose pools hold no two equal scores
+(one plain sort shows it) is ordered by the default argsort: with distinct
+keys the sorting permutation is unique, so the order is the same array.
 """
 
 from __future__ import annotations
@@ -118,9 +123,15 @@ class PooledScores:
 
         1-D entries sort by (pool, score), so the pools lie end to end; a 2-D
         matrix sorts column by column.  Ties keep their input order.
+
+        Without ``pools``, scores that sort strictly increasing in every pool
+        (no ties, NaN or 0.0 beside -0.0) have one sorting permutation, so
+        the faster default argsort returns the stable sort's array.
         """
         if self.pools is None:
-            return np.argsort(self.scores, axis=0, kind="stable")
+            s = np.sort(self.scores, axis=0)
+            distinct = (s[1:] > s[:-1]).all()
+            return np.argsort(self.scores, axis=0, kind=None if distinct else "stable")
         return np.lexsort((self.scores, self.pools))
 
     @functools.cached_property
@@ -208,15 +219,19 @@ def adaptive_edges(scores: np.ndarray, n_bins: int) -> np.ndarray:
     return _midpoint_edges(s, np.array([s.shape[0]]), n_bins)[0]
 
 
-def pool_bin_stats(view: PooledScores, scheme: BinScheme) -> list[list[BinStats]]:
-    """The bins of :func:`bin_totals` as one list of :class:`BinStats` per pool.
+def pool_bin_stats(
+    view: PooledScores,
+    scheme: BinScheme,
+    totals: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> list[list[BinStats]]:
+    """The view's ``totals`` from :func:`bin_totals` as :class:`BinStats` per pool.
 
     Bins are tagged with their pool index when the scores are pooled
     (``pools`` given or a 2-D matrix), else with None.  Empty bins read
     accuracy = confidence = 0.
     """
     b = scheme.n_bins
-    counts, conf_sums, correct_sums = bin_totals(view, scheme)
+    counts, conf_sums, correct_sums = totals
     if scheme.kind == "even":
         edges = np.broadcast_to(even_edges(b), (view.n_pools, b + 1))
     else:
@@ -247,4 +262,4 @@ def bin_stats(preds: ScoredPredictions, scheme: BinScheme) -> list[BinStats]:
     if scheme.kind == "adaptive" and len(preds) == 0:
         raise ValueError("adaptive binning needs at least one prediction")
     view = PooledScores(preds.scores, np.flatnonzero(preds.correct), None, 1)
-    return pool_bin_stats(view, scheme)[0]
+    return pool_bin_stats(view, scheme, bin_totals(view, scheme))[0]

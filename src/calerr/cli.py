@@ -29,6 +29,7 @@ from .metrics import (
     binned_stats,
     gce,
     gce_many,
+    gce_with_bins,
     metric_index,
 )
 from .optimize import DivergenceError
@@ -147,8 +148,7 @@ def cmd_measure(args) -> int:
             _write_report_rows(args.output, ALL_32_HEADER, rows)
         return 0
     cfg = _resolve_metric(args)
-    score = gce(p, cfg)
-    stats = binned_stats(p, cfg)
+    score, stats = gce_with_bins(p, cfg)
     try:
         index_note = f"index={metric_index(cfg)} "
     except ValueError:  # thresholds off the standard grid have no index

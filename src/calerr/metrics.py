@@ -40,8 +40,10 @@ pass: each distinct score view is split into pools (a
 :class:`calerr.binning.PooledScores`, sorted at most once) and reduced by
 :func:`calerr.binning.bin_totals` to per-(pool, bin) counts, confidence
 sums and correct counts, shared across norms.  Pool errors and the class
-mean are array operations on those totals; :func:`gce` is the one-config
-case and :func:`binned_stats` formats the totals as :class:`BinStats`.
+mean are array operations on those totals, over the classes that hold
+entries; :func:`gce` is the one-config case, :func:`binned_stats` formats
+the totals as :class:`BinStats`, and :func:`gce_with_bins` returns both
+from one view and one set of totals.
 """
 
 from __future__ import annotations
@@ -203,14 +205,22 @@ def binned_stats(p: PredictionSet, cfg: MetricConfig) -> list[BinStats]:
     zero-count placeholder bin spanning [0, 1] so downstream consumers see
     the class flagged rather than silently missing.
     """
-    pool_stats = pool_bin_stats(_pooled_view(p, cfg), cfg.binning)
+    return gce_with_bins(p, cfg)[1]
+
+
+def gce_with_bins(
+    p: PredictionSet, cfg: MetricConfig
+) -> tuple[CalibrationScore, list[BinStats]]:
+    """``(gce(p, cfg), binned_stats(p, cfg))`` from one view and its bin totals."""
+    view = _pooled_view(p, cfg)
+    totals = bin_totals(view, cfg.binning)
     out: list[BinStats] = []
-    for k, pool in enumerate(pool_stats):
+    for k, pool in enumerate(pool_bin_stats(view, cfg.binning, totals)):
         if cfg.class_conditional and not any(st.count for st in pool):
             out.append(BinStats(0.0, 1.0, 0, 0.0, 0.0, class_index=k))
         else:
             out.extend(pool)
-    return out
+    return _score(cfg, totals), out
 
 
 def _pool_errors(
@@ -259,16 +269,26 @@ def gce_many(
             views[key] = _pooled_view(p, cfg)
         if (key, cfg.binning) not in totals:
             totals[key, cfg.binning] = bin_totals(views[key], cfg.binning)
-        counts, conf_sums, correct_sums = totals[key, cfg.binning]
-        errors = _pool_errors(counts, conf_sums, correct_sums, cfg.norm)
-        if not cfg.class_conditional:
-            out.append(CalibrationScore(value=float(errors[0]), config=cfg))
-            continue
-        live = np.flatnonzero(counts.any(axis=1))  # empty classes leave the mean
-        per_class = dict(zip(live.tolist(), errors[live].tolist()))
-        value = sum(per_class.values()) / len(per_class)
-        out.append(CalibrationScore(value=value, config=cfg, per_class=per_class))
+        out.append(_score(cfg, totals[key, cfg.binning]))
     return out
+
+
+def _score(
+    cfg: MetricConfig, totals: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> CalibrationScore:
+    """The config's score from its view's per-(pool, bin) totals."""
+    if not cfg.class_conditional:
+        return CalibrationScore(float(_pool_errors(*totals, cfg.norm)[0]), cfg)
+    counts = totals[0]
+    live = np.flatnonzero(counts.any(axis=1))  # empty classes leave the mean
+    # With every class live (the usual case at small K) the rows are used as
+    # they are: indexing them would cost more than it saves.
+    if len(live) < len(counts):
+        totals = tuple(t[live] for t in totals)
+    errors = _pool_errors(*totals, cfg.norm)
+    per_class = dict(zip(live.tolist(), errors.tolist()))
+    value = sum(per_class.values()) / len(per_class)
+    return CalibrationScore(value=value, config=cfg, per_class=per_class)
 
 
 def brier_score(p: PredictionSet) -> float:

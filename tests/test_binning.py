@@ -7,8 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calerr import BinScheme, BinStats, bin_stats
+import oracle
+from calerr import (
+    BinScheme,
+    BinStats,
+    PredictionSet,
+    all_configs,
+    bin_stats,
+    gce_many,
+    row_softmax,
+)
 from calerr.binning import (
+    PooledScores,
     adaptive_counts,
     adaptive_edges,
     assign_even_bins,
@@ -162,3 +172,69 @@ class TestBinStats:
             acc_sum = sum(s.count * s.accuracy for s in stats)
             assert conf_sum == pytest.approx(scores.sum(), abs=1e-9)
             assert acc_sum == pytest.approx(correct.sum(), abs=1e-9)
+
+
+def _order_inputs() -> dict:
+    """Score matrices (rows by pools) with and without ties."""
+    rng = np.random.default_rng(7)
+    signed_zeros = np.where(rng.random((300, 4)) < 0.5, 0.0, -0.0)
+    signed_zeros[rng.random((300, 4)) < 0.1] = 0.25
+    return {
+        "distinct": rng.random((300, 4)),
+        "tie-heavy": rng.integers(0, 4, (300, 4)) / 4,
+        # softmax of logits near +-1e4: one 1.0 per row, exact zeros elsewhere
+        "saturated": row_softmax(1e4 * rng.standard_normal((300, 4))),
+        "signed-zeros": signed_zeros,
+        "one-row": rng.random((1, 2)),
+    }
+
+
+ORDER_INPUTS = _order_inputs()
+
+
+class TestPooledOrder:
+    """``PooledScores.order`` is the stable sort, whichever argsort made it."""
+
+    @pytest.mark.parametrize("name", sorted(ORDER_INPUTS))
+    def test_order_is_the_stable_sort(self, name):
+        matrix = ORDER_INPUTS[name]
+        n, k = matrix.shape
+        flat = matrix.ravel()
+        hits = np.arange(0)
+        for scores, n_pools in ((flat, 1), (matrix, k)):
+            order = PooledScores(scores, hits, None, n_pools).order
+            np.testing.assert_array_equal(
+                order, np.argsort(scores, axis=0, kind="stable")
+            )
+        pools = np.tile(np.arange(k), n)
+        order = PooledScores(flat, hits, pools, k).order
+        np.testing.assert_array_equal(order, np.lexsort((flat, pools)))
+
+    def test_nan_scores_bin_in_stable_order(self):
+        rng = np.random.default_rng(11)
+        scores = rng.random(200)
+        scores[rng.choice(200, 30, replace=False)] = np.nan
+        correct = rng.random(200) < 0.5
+        stats = bin_stats(
+            ScoredPredictions(scores, np.zeros(200, dtype=int), correct),
+            BinScheme("adaptive", 7),
+        )
+        order = np.argsort(scores, kind="stable")
+        runs = np.split(order, np.cumsum(adaptive_counts(200, 7))[:-1])
+        assert [st_.count for st_ in stats] == [len(run) for run in runs]
+        for st_, run in zip(stats, runs):
+            assert st_.accuracy == correct[run].sum() / len(run)
+        assert np.isnan(stats[-1].confidence)
+
+    @pytest.mark.parametrize("n_bins", [2, 15])
+    def test_saturated_k1000_all_configs_match_oracle(self, n_bins):
+        rng = np.random.default_rng(1000)
+        z = 1e4 * rng.standard_normal((8, 1000))
+        p = PredictionSet(row_softmax(z), rng.integers(0, 1000, 8))
+        assert (p.probs == 0.0).mean() > 0.99
+        for score in gce_many(p, all_configs(n_bins)):
+            binning, mp, cc, thr, norm = score.config.axis_tuple()
+            ref = oracle.brute_force_gce(
+                p.probs, p.labels, binning, mp, cc, thr, norm, n_bins
+            )
+            assert score.value == pytest.approx(ref, abs=1e-10), score.config

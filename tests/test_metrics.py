@@ -20,6 +20,7 @@ from calerr import (
     brier_score,
     gce,
     gce_many,
+    gce_with_bins,
     index_to_config,
     metric_index,
     named_metric,
@@ -246,8 +247,11 @@ def test_edge_inputs_match_brute_force_oracle(name):
                     gce(p, cfg)
                 with pytest.raises(EmptyMeasurementError):
                     binned_stats(p, cfg)
+                with pytest.raises(EmptyMeasurementError):
+                    gce_with_bins(p, cfg)
                 continue
             score = gce(p, cfg)
+            assert gce_with_bins(p, cfg) == (score, binned_stats(p, cfg))
             assert score.value == pytest.approx(ref, abs=1e-10), (name, b, cfg.label())
             if not cc:
                 continue
@@ -309,6 +313,36 @@ class TestGceMany:
             assert score.value == fresh.value, cfg
             assert score.per_class == fresh.per_class, cfg
             assert score.value == pytest.approx(refs[cfg], abs=1e-10), cfg
+
+    def test_class_mean_covers_only_live_classes_at_k1000(self):
+        rng = np.random.default_rng(42)
+        n, k = 200, 1000
+        z = 2.0 * rng.standard_normal((n, k))
+        top = rng.integers(0, 150, n)
+        z[np.arange(n), top] += 8.0
+        p = PredictionSet(row_softmax(z), np.where(rng.random(n) < 0.6, top, 0))
+        predicted = np.argmax(p.probs, axis=1)
+        live = sorted(set(predicted.tolist()))
+        assert len(live) <= 0.2 * k
+        configs = [
+            cfg for b in (3, 15) for cfg in all_configs(b)
+            if cfg.max_probs and cfg.class_conditional
+        ]
+        for cfg, score in zip(configs, gce_many(p, configs)):
+            binning, mp, cc, thr, norm = cfg.axis_tuple()
+            assert sorted(score.per_class) == live, cfg
+            assert score.per_class == gce(p, cfg).per_class, cfg
+            for c in live:
+                rows = predicted == c
+                ref = oracle.brute_force_gce(
+                    p.probs[rows], p.labels[rows], binning, True, False, thr, norm,
+                    cfg.binning.n_bins,
+                )
+                assert score.per_class[c] == pytest.approx(ref, abs=1e-10), (cfg, c)
+            ref = oracle.brute_force_gce(
+                p.probs, p.labels, binning, mp, cc, thr, norm, cfg.binning.n_bins
+            )
+            assert score.value == pytest.approx(ref, abs=1e-10), cfg
 
     def test_empty_list_scores_nothing(self, tiny_preds):
         assert gce_many(tiny_preds, []) == []
