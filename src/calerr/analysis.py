@@ -33,18 +33,17 @@ RANK_VARIANTS = ("spearman", "footrule")
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, lowest value first; ties share the average position."""
+    """1-based ranks, lowest value first; ties share the average position; NaN raises."""
     v = np.asarray(values, dtype=float)
-    n = v.shape[0]
+    if np.isnan(v).any():
+        raise ValueError("cannot rank NaN values")
     order = np.argsort(v, kind="stable")
-    ranks = np.empty(n)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and v[order[j]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j]] = (i + 1 + j) / 2.0
-        i = j
+    s = v[order]
+    # A run of equal values at sorted positions [start, end) shares their mean.
+    bounds = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
+    starts, ends = bounds[:-1], bounds[1:]
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     return ranks
 
 
@@ -266,6 +265,8 @@ def label_noise_experiment(
     if levels is None:
         levels = np.linspace(0.0, 0.05, 40)
     levels = [float(q) for q in levels]
+    if not levels:
+        raise ValueError("need at least one noise level")
     if any(not 0.0 <= q <= 1.0 for q in levels):
         raise ValueError("noise levels must lie in [0, 1]")
 

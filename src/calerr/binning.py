@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import numbers
 
 import numpy as np
 
@@ -51,6 +52,8 @@ class BinScheme:
     def __post_init__(self) -> None:
         if self.kind not in BIN_KINDS:
             raise ValueError(f"kind must be one of {BIN_KINDS}, got {self.kind!r}")
+        if isinstance(self.n_bins, bool) or not isinstance(self.n_bins, numbers.Integral):
+            raise ValueError(f"n_bins must be an integer, got {self.n_bins!r}")
         if self.n_bins < 1:
             raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
 

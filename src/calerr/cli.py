@@ -37,7 +37,7 @@ from .predictions import (
     LogitSet,
     PredictionSet,
     ValidationError,
-    softmax,
+    as_probs,
     split_validation,
 )
 from .recalibrate import (
@@ -111,11 +111,15 @@ def _load_predictions(args) -> PredictionSet | LogitSet:
     return read_prediction_file(args.predictions, logits=args.logits)
 
 
-def _as_probs(data: PredictionSet | LogitSet) -> PredictionSet:
-    return softmax(data) if isinstance(data, LogitSet) else data
+def _grid_index(cfg: MetricConfig) -> int | None:
+    """The config's metric index, or None for a threshold off the standard grid."""
+    try:
+        return metric_index(cfg)
+    except ValueError:
+        return None
 
 
-def _parse_named_inputs(pairs: list[str]) -> dict[str, PredictionSet]:
+def _parse_named_inputs(pairs: list[str], command: str) -> dict[str, PredictionSet]:
     out: dict[str, PredictionSet] = {}
     for pair in pairs:
         if "=" not in pair:
@@ -125,8 +129,9 @@ def _parse_named_inputs(pairs: list[str]) -> dict[str, PredictionSet]:
             raise UsageError(f"input {pair!r} must look like name=path")
         if name in out:
             raise UsageError(f"duplicate input name {name!r}")
-        data = read_prediction_file(path, logits=False)
-        out[name] = data
+        out[name] = read_prediction_file(path, logits=False)
+    if len(out) < 2:
+        raise UsageError(f"{command} needs at least 2 name=path inputs")
     return out
 
 
@@ -134,8 +139,7 @@ ALL_32_HEADER = ["index", *AXES, "bins", "score"]
 
 
 def cmd_measure(args) -> int:
-    data = _load_predictions(args)
-    p = _as_probs(data)
+    p = as_probs(_load_predictions(args))
     if args.all_32:
         bins = args.bins if args.bins is not None else DEFAULT_BINS
         rows = [
@@ -149,10 +153,8 @@ def cmd_measure(args) -> int:
         return 0
     cfg = _resolve_metric(args)
     score, stats = gce_with_bins(p, cfg)
-    try:
-        index_note = f"index={metric_index(cfg)} "
-    except ValueError:  # thresholds off the standard grid have no index
-        index_note = ""
+    index = _grid_index(cfg)
+    index_note = "" if index is None else f"index={index} "
     print(f"metric: {index_note}{cfg.label()} bins={cfg.binning.n_bins}")
     print(f"score: {format_float(score.value)}")
     print(",".join(BIN_STATS_HEADER))
@@ -182,15 +184,13 @@ def _write_report_rows(path: str, header: list[str], rows: list[list]) -> None:
 
 def cmd_recalibrate(args) -> int:
     data = _load_predictions(args)
-    if not RECALIBRATORS[args.method].logits:
-        data = _as_probs(data)
-    elif not isinstance(data, LogitSet):
+    if RECALIBRATORS[args.method].logits and not isinstance(data, LogitSet):
         raise UsageError(
             f"method {args.method!r} requires logits input; pass --logits "
             "with a logit-valued file"
         )
     fit_half, eval_half = split_validation(data)
-    eval_probs = _as_probs(eval_half)
+    eval_probs = as_probs(eval_half)
     report_cfg = _resolve_metric(args)
     model, after = run_recalibrator(
         args.method, fit_half, eval_half, n_bins=args.histogram_bins,
@@ -209,17 +209,13 @@ def cmd_recalibrate(args) -> int:
     prefix = args.output_prefix
     write_prediction_file(f"{prefix}.recalibrated.csv", after)
     write_json(f"{prefix}.model.json", model_to_dict(model))
-    try:
-        report_idx = metric_index(report_cfg)
-    except ValueError:
-        report_idx = None
     write_json(
         f"{prefix}.report.json",
         {
             "method": args.method,
             "seed": args.seed,
             "metric": {
-                "index": report_idx,
+                "index": _grid_index(report_cfg),
                 "label": report_cfg.label(),
                 "bins": report_cfg.binning.n_bins,
             },
@@ -233,9 +229,7 @@ def cmd_recalibrate(args) -> int:
 
 
 def cmd_sweep_bins(args) -> int:
-    inputs = _parse_named_inputs(args.inputs)
-    if len(inputs) < 2:
-        raise UsageError("sweep-bins needs at least 2 name=path inputs")
+    inputs = _parse_named_inputs(args.inputs, "sweep-bins")
     baseline = (
         read_prediction_file(args.uncalibrated) if args.uncalibrated else None
     )
@@ -274,9 +268,7 @@ def cmd_sweep_bins(args) -> int:
 
 
 def cmd_rank_methods(args) -> int:
-    inputs = _parse_named_inputs(args.inputs)
-    if len(inputs) < 2:
-        raise UsageError("rank-methods needs at least 2 name=path inputs")
+    inputs = _parse_named_inputs(args.inputs, "rank-methods")
     bins = args.bins if args.bins is not None else DEFAULT_BINS
     table = rank_methods(inputs, n_bins=bins)
     header = ["rank"] + [str(metric_index(cfg)) for cfg in table.configs]
@@ -340,7 +332,7 @@ def cmd_label_noise(args) -> int:
 
 
 def cmd_reliability(args) -> int:
-    p = _as_probs(_load_predictions(args))
+    p = as_probs(_load_predictions(args))
     cfg = _resolve_metric(args)
     stats = binned_stats(p, cfg)
     rows = bin_stats_rows(stats)

@@ -4,7 +4,9 @@ Prediction files are plain CSV with K float columns (probabilities, or
 logits when the caller says so; never inferred) plus a final integer label
 column.  No header by default; the exact header ``p0,p1,...,label`` is
 accepted and skipped.  Floats are always written with 17 significant digits
-so a write/read round trip is exact.
+so a write/read round trip is exact.  The reader checks the file's syntax,
+the container it builds checks the numbers, and a :class:`RunConfig` leaves
+each setting's check to the metric type that owns it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import BIN_KINDS, DEFAULT_BINS, BinScheme, BinStats
-from .metrics import NORMS, MetricConfig, named_metric
+from .binning import DEFAULT_BINS, BinScheme, BinStats
+from .metrics import MetricConfig, named_metric
 from .predictions import LogitSet, PredictionSet
 
 
@@ -138,6 +140,8 @@ class RunConfig:
 
     ``named`` (ECE, CCECE, SCE, ACE, TACE or RMSCE) overrides the axes.
     Unknown keys are rejected rather than ignored, so typos fail loudly.
+    Construction builds the axes' config and the named one, so every value
+    is checked by its owner, even the axes that ``named`` overrides.
     """
 
     binning: str = "even"
@@ -149,10 +153,7 @@ class RunConfig:
     named: str | None = None
 
     def __post_init__(self) -> None:
-        if self.binning not in BIN_KINDS:
-            raise ValueError(f"binning must be one of {BIN_KINDS}, got {self.binning!r}")
-        if self.norm not in NORMS:
-            raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
+        self.metric_config()
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -169,15 +170,14 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def metric_config(self) -> MetricConfig:
-        if self.named is not None:
-            return named_metric(self.named, self.bins)
-        return MetricConfig(
+        axes = MetricConfig(
             binning=BinScheme(self.binning, self.bins),
             max_probs=self.max_probs,
             class_conditional=self.class_conditional,
             threshold=self.threshold,
             norm=self.norm,
         )
+        return axes if self.named is None else named_metric(self.named, self.bins)
 
 
 def read_run_config(path) -> RunConfig:

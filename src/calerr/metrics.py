@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import numbers
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -96,8 +97,13 @@ class MetricConfig:
     def __post_init__(self) -> None:
         if self.norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
+        if isinstance(self.threshold, bool) or not isinstance(self.threshold, numbers.Real):
+            raise ValueError(f"threshold must be a real number, got {self.threshold!r}")
         if not 0.0 <= self.threshold < 1.0:
             raise ValueError(f"threshold must lie in [0, 1), got {self.threshold}")
+        for flag in ("max_probs", "class_conditional"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ValueError(f"{flag} must be a bool, got {getattr(self, flag)!r}")
 
     def axis_tuple(self) -> tuple:
         """(binning kind, max_probs, class_conditional, threshold, norm)."""
@@ -168,6 +174,8 @@ def all_configs(n_bins: int = DEFAULT_BINS) -> list[MetricConfig]:
 
 def named_metric(name: str, n_bins: int = DEFAULT_BINS) -> MetricConfig:
     """Config for a named metric (ECE, SCE, ACE, TACE, RMSCE, CCECE)."""
+    if not isinstance(name, str):
+        raise ValueError(f"metric name must be a string, got {name!r}")
     key = name.upper()
     if key not in NAMED_METRICS:
         raise ValueError(

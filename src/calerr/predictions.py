@@ -2,15 +2,16 @@
 
 A model's output on an evaluation set is either an N x K matrix of class
 probabilities (:class:`PredictionSet`) or an N x K matrix of raw logits
-(:class:`LogitSet`).  A score view (:class:`ScoredPredictions`) holds three
-parallel arrays: each entry's score, the class it belongs to, and whether
-that class is the datapoint's label.  :func:`max_prob_view` keeps each
-datapoint's top probability; :func:`full_prob_view` keeps every entry above a
-threshold.  The metrics split a view into pools (one, or one per class) and
-hand its scores, pool indices and correct positions to the binning engine,
-which reduces them to per-(pool, bin) count and sum arrays.  The
-unthresholded full view needs no view object: the metrics read the matrix
-and its columns directly.
+(:class:`LogitSet`).  Both check and freeze their input on one shared path;
+:func:`as_probs` and :func:`split_validation` take either.  A score view
+(:class:`ScoredPredictions`) holds three parallel arrays: each entry's
+score, the class it belongs to, and whether that class is the datapoint's
+label.  :func:`max_prob_view` keeps each datapoint's top probability;
+:func:`full_prob_view` keeps every entry above a threshold.  The metrics
+split a view into pools (one, or one per class) and hand its scores, pool
+indices and correct positions to the binning engine, which reduces them to
+per-(pool, bin) count and sum arrays.  The unthresholded full view needs no
+view object: the metrics read the matrix and its columns directly.
 """
 
 from __future__ import annotations
@@ -29,22 +30,56 @@ class ValidationError(ValueError):
     """A prediction matrix or label vector violates its contract."""
 
 
-def _check_labels(labels: np.ndarray, n_points: int, n_classes: int) -> None:
-    if labels.ndim != 1:
-        raise ValidationError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.shape[0] != n_points:
-        raise ValidationError(
-            f"got {labels.shape[0]} labels for {n_points} prediction rows"
-        )
-    if n_points and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValidationError(
-            f"labels must lie in [0, {n_classes - 1}], got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
+class _LabeledMatrix:
+    """The validate-and-freeze path of both containers.
+
+    A subclass names its matrix field (``_matrix``) and its rows in messages
+    (``_row``).  Construction copies and freezes the matrix and labels after
+    checking shape, rows, classes, finiteness, :meth:`_check_values`, labels.
+    """
+
+    def __post_init__(self) -> None:
+        name = self._matrix
+        matrix = np.array(getattr(self, name), dtype=float)
+        labels = np.array(self.labels, dtype=int)
+        if matrix.ndim != 2:
+            raise ValidationError(f"{name} must be 2-D, got shape {matrix.shape}")
+        n, k = matrix.shape
+        if n < 1:
+            raise ValidationError(f"need at least one {self._row} row")
+        if k < 2:
+            raise ValidationError(f"need at least two classes, got {k}")
+        if not np.all(np.isfinite(matrix)):
+            raise ValidationError(f"{name} contain non-finite entries")
+        self._check_values(matrix)
+        if labels.ndim != 1:
+            raise ValidationError(f"labels must be 1-D, got shape {labels.shape}")
+        if labels.shape[0] != n:
+            raise ValidationError(f"got {labels.shape[0]} labels for {n} prediction rows")
+        if labels.min() < 0 or labels.max() >= k:
+            raise ValidationError(
+                f"labels must lie in [0, {k - 1}], got range "
+                f"[{labels.min()}, {labels.max()}]"
+            )
+        matrix.setflags(write=False)
+        labels.setflags(write=False)
+        object.__setattr__(self, name, matrix)
+        object.__setattr__(self, "labels", labels)
+
+    def _check_values(self, matrix: np.ndarray) -> None:
+        """Checks a subclass adds between finiteness and the labels."""
+
+    @property
+    def n_points(self) -> int:
+        return getattr(self, self._matrix).shape[0]
+
+    @property
+    def n_classes(self) -> int:
+        return getattr(self, self._matrix).shape[1]
 
 
 @dataclasses.dataclass(frozen=True)
-class PredictionSet:
+class PredictionSet(_LabeledMatrix):
     """Class-probability matrix with ground-truth labels.
 
     Parameters
@@ -61,18 +96,10 @@ class PredictionSet:
     probs: np.ndarray
     labels: np.ndarray
 
-    def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=float)
-        labels = np.array(self.labels, dtype=int)
-        if probs.ndim != 2:
-            raise ValidationError(f"probs must be 2-D, got shape {probs.shape}")
-        n, k = probs.shape
-        if n < 1:
-            raise ValidationError("need at least one prediction row")
-        if k < 2:
-            raise ValidationError(f"need at least two classes, got {k}")
-        if not np.all(np.isfinite(probs)):
-            raise ValidationError("probs contain non-finite entries")
+    _matrix = "probs"
+    _row = "prediction"
+
+    def _check_values(self, probs: np.ndarray) -> None:
         if probs.min() < 0.0 or probs.max() > 1.0:
             raise ValidationError("probs must lie in [0, 1]")
         row_sums = probs.sum(axis=1)
@@ -82,19 +109,6 @@ class PredictionSet:
                 f"row {worst} sums to {row_sums[worst]!r}, outside "
                 f"1 +/- {PROB_SUM_TOL}"
             )
-        _check_labels(labels, n, k)
-        probs.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_points(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.probs.shape[1]
 
     def renormalized(self) -> "PredictionSet":
         """Divide each row by its sum.  Rows summing to zero are an error."""
@@ -105,37 +119,14 @@ class PredictionSet:
 
 
 @dataclasses.dataclass(frozen=True)
-class LogitSet:
+class LogitSet(_LabeledMatrix):
     """Raw (pre-softmax) score matrix with ground-truth labels."""
 
     logits: np.ndarray
     labels: np.ndarray
 
-    def __post_init__(self) -> None:
-        logits = np.array(self.logits, dtype=float)
-        labels = np.array(self.labels, dtype=int)
-        if logits.ndim != 2:
-            raise ValidationError(f"logits must be 2-D, got shape {logits.shape}")
-        n, k = logits.shape
-        if n < 1:
-            raise ValidationError("need at least one logit row")
-        if k < 2:
-            raise ValidationError(f"need at least two classes, got {k}")
-        if not np.all(np.isfinite(logits)):
-            raise ValidationError("logits contain non-finite entries")
-        _check_labels(labels, n, k)
-        logits.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_points(self) -> int:
-        return self.logits.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.logits.shape[1]
+    _matrix = "logits"
+    _row = "logit"
 
 
 PredictionsOrLogits = Union[PredictionSet, LogitSet]
@@ -189,6 +180,11 @@ def softmax(logits: LogitSet) -> PredictionSet:
     return PredictionSet(row_softmax(logits.logits), logits.labels)
 
 
+def as_probs(data: PredictionsOrLogits) -> PredictionSet:
+    """The probabilities of either container: logits go through :func:`softmax`."""
+    return softmax(data) if isinstance(data, LogitSet) else data
+
+
 def max_prob_view(p: PredictionSet) -> ScoredPredictions:
     """One record per datapoint: its top probability and predicted class.
 
@@ -232,12 +228,5 @@ def split_validation(
     if n < 2:
         raise ValidationError(f"cannot split {n} predictions into two halves")
     cut = math.ceil(n / 2)
-    if isinstance(p, LogitSet):
-        return (
-            LogitSet(p.logits[:cut], p.labels[:cut]),
-            LogitSet(p.logits[cut:], p.labels[cut:]),
-        )
-    return (
-        PredictionSet(p.probs[:cut], p.labels[:cut]),
-        PredictionSet(p.probs[cut:], p.labels[cut:]),
-    )
+    matrix, make = getattr(p, p._matrix), type(p)
+    return make(matrix[:cut], p.labels[:cut]), make(matrix[cut:], p.labels[cut:])

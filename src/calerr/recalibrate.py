@@ -35,9 +35,9 @@ from .predictions import (
     LogitSet,
     PredictionSet,
     ValidationError,
+    as_probs,
     max_prob_view,
     row_softmax,
-    softmax,
 )
 
 HISTOGRAM_BINS = 20
@@ -777,9 +777,7 @@ def run_recalibrator(
     """
     entry = RECALIBRATORS[method]
     if not entry.logits:
-        fit_data, eval_data = (
-            softmax(d) if isinstance(d, LogitSet) else d for d in (fit_data, eval_data)
-        )
+        fit_data, eval_data = as_probs(fit_data), as_probs(eval_data)
     given = dict(n_bins=n_bins, bootstrap=bootstrap, seed=seed, empty_bin=empty_bin,
                  objective=objective, metric=metric)
     model = entry.fit(fit_data, **{name: given[name] for name in entry.options})

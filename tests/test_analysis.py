@@ -48,6 +48,10 @@ class TestAverageRanks:
                 average_ranks(v), oracle.reference_average_ranks(v)
             )
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            average_ranks(np.array([1.0, np.nan, 0.5]))
+
 
 class TestRankCorrelation:
     # inputs are rank vectors, as produced by average_ranks
@@ -216,6 +220,10 @@ class TestLabelNoise:
             train_iterations=20,
         )
         assert [r.noise for r in rows] == [0.0, 0.02, 0.04]
+
+    def test_rejects_empty_levels(self):
+        with pytest.raises(ValueError, match="at least one noise level"):
+            label_noise_experiment(levels=[])
 
 
 class TestPathology:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,21 @@ class TestBinScheme:
     def test_rejects_zero_bins(self):
         with pytest.raises(ValueError):
             BinScheme("even", 0)
+
+    @pytest.mark.parametrize("n_bins", [10.5, True, "10", None])
+    def test_rejects_non_integer_bins(self, n_bins):
+        with pytest.raises(ValueError, match="n_bins must be an integer"):
+            BinScheme("even", n_bins)
+
+    @pytest.mark.parametrize("kind", ["even", "adaptive"])
+    def test_numpy_integer_bins_score_like_ints(self, kind):
+        rng = np.random.default_rng(3)
+        p = PredictionSet(row_softmax(rng.standard_normal((40, 4))), rng.integers(0, 4, 40))
+        ints = [cfg for cfg in all_configs(7) if cfg.binning.kind == kind]
+        numpy_ints = [dataclasses.replace(cfg, binning=BinScheme(kind, np.int64(7)))
+                      for cfg in ints]
+        got, want = gce_many(p, numpy_ints), gce_many(p, ints)
+        assert [(s.value, s.per_class) for s in got] == [(s.value, s.per_class) for s in want]
 
 
 class TestEvenEdges:

@@ -281,6 +281,34 @@ def test_malformed_input_is_data_error(text, flags, message, tmp_path, capsys):
     assert captured.err.rstrip("\n").endswith(message)
 
 
+# A config value its owning type rejects, and the text of the error, which names the field.
+BAD_CONFIG_VALUES = [
+    ('{"max_probs": "no"}', "max_probs must be a bool"),
+    ('{"class_conditional": 1}', "class_conditional must be a bool"),
+    ('{"bins": "10"}', "n_bins must be an integer"),
+    ('{"bins": 10.5}', "n_bins must be an integer"),
+    ('{"bins": true}', "n_bins must be an integer"),
+    ('{"threshold": "0.01"}', "threshold must be a real number"),
+    ('{"named": 5}', "metric name must be a string"),
+    # Axes that ``named`` overrides are still checked.
+    ('{"named": "ACE", "binning": "bogus"}', "kind must be one of"),
+    ('{"named": "ECE", "threshold": 1.5}', "threshold must lie in [0, 1)"),
+]
+
+
+@pytest.mark.parametrize("text,message", BAD_CONFIG_VALUES,
+                         ids=[text for text, _ in BAD_CONFIG_VALUES])
+def test_bad_config_value_is_data_error(text, message, probs_csv, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    assert main(["measure", probs_csv, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 class TestSweepAndRank:
     @pytest.fixture
     def method_files(self, tmp_path):
@@ -395,6 +423,14 @@ class TestLabelNoise:
         assert len(lines) == 4
         printed = capsys.readouterr().out
         assert "levels: 3 (noise 0 .. 0.04" in printed
+
+    @pytest.mark.parametrize("levels", ["0", "-2"])
+    def test_no_levels_is_data_error(self, levels, tmp_path, capsys):
+        out = tmp_path / "noise.csv"
+        assert main(["label-noise", "--levels", levels, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: need at least one noise level\n"
+        assert not out.exists()
 
 
 class TestReliability:

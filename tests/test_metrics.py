@@ -81,6 +81,20 @@ class TestIndexing:
         with pytest.raises(ValueError):
             MetricConfig(BinScheme("even", 15), threshold=1.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("threshold", "0.01", "threshold must be a real number"),
+        ("threshold", True, "threshold must be a real number"),
+        ("max_probs", "no", "max_probs must be a bool"),
+        ("class_conditional", 1, "class_conditional must be a bool"),
+    ])
+    def test_config_rejects_wrong_types(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            MetricConfig(BinScheme("even", 15), **{field: value})
+
+    def test_named_metric_rejects_non_string(self):
+        with pytest.raises(ValueError, match="metric name must be a string"):
+            named_metric(5)
+
 
 class TestGce:
     def test_ece_hand_example(self, tiny_preds):

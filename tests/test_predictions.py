@@ -11,6 +11,7 @@ from calerr import (
     LogitSet,
     PredictionSet,
     ValidationError,
+    as_probs,
     full_prob_view,
     max_prob_view,
     row_softmax,
@@ -73,6 +74,49 @@ class TestPredictionSet:
         assert np.allclose(q.probs.sum(axis=1), 1.0)
 
 
+# Each rule's input, per container, and the exact message it raises.
+_ONE_ROW = np.array([[0.5, 0.5]])
+_VALIDATION_CASES = [
+    ("not-2d", np.array([0.5, 0.5]), [0], "{m} must be 2-D, got shape (2,)"),
+    ("no-rows", np.zeros((0, 2)), np.zeros(0, dtype=int), "need at least one {row} row"),
+    ("one-class", np.array([[1.0]]), [0], "need at least two classes, got 1"),
+    ("non-finite", np.array([[np.nan, 1.0]]), [0], "{m} contain non-finite entries"),
+    ("label-shape", _ONE_ROW, [[0]], "labels must be 1-D, got shape (1, 1)"),
+    ("label-count", _ONE_ROW, [0, 1], "got 2 labels for 1 prediction rows"),
+    ("label-range", _ONE_ROW, [2], "labels must lie in [0, 1], got range [2, 2]"),
+]
+_CONTAINERS = [(PredictionSet, "probs", "prediction"), (LogitSet, "logits", "logit")]
+
+
+class TestValidationMessages:
+    @pytest.mark.parametrize("container, m, row", _CONTAINERS, ids=["probs", "logits"])
+    @pytest.mark.parametrize("matrix, labels, message",
+                             [case[1:] for case in _VALIDATION_CASES],
+                             ids=[case[0] for case in _VALIDATION_CASES])
+    def test_shared_rules(self, container, m, row, matrix, labels, message):
+        with pytest.raises(ValidationError) as exc:
+            container(matrix, np.array(labels))
+        assert str(exc.value) == message.format(m=m, row=row)
+
+    @pytest.mark.parametrize("probs, message", [
+        ([[1.2, -0.2]], "probs must lie in [0, 1]"),
+        ([[0.5, 0.4]], "row 0 sums to np.float64(0.9), outside 1 +/- 1e-06"),
+    ], ids=["out-of-range", "row-sum"])
+    def test_probability_rules(self, probs, message):
+        with pytest.raises(ValidationError) as exc:
+            PredictionSet(np.array(probs), np.array([0]))
+        assert str(exc.value) == message
+
+    def test_probability_rules_come_before_labels(self):
+        with pytest.raises(ValidationError, match="sums to"):
+            PredictionSet(np.array([[0.5, 0.4]]), np.array([7]))
+
+    def test_logits_skip_probability_rules(self):
+        ls = LogitSet(np.array([[1.2, -0.2]]), np.array([0]))
+        assert ls.logits.tolist() == [[1.2, -0.2]]
+        assert not ls.logits.flags.writeable and not ls.labels.flags.writeable
+
+
 class TestLogitSet:
     def test_valid(self):
         ls = LogitSet(np.array([[1.0, -2.0]]), np.array([1]))
@@ -106,6 +150,12 @@ class TestSoftmax:
             np.argmax(p.probs, axis=1), np.argmax(ls.logits, axis=1)
         )
         assert np.array_equal(p.labels, ls.labels)
+
+    def test_as_probs_takes_either_container(self, rng):
+        ls = LogitSet(rng.standard_normal((6, 3)), rng.integers(0, 3, 6))
+        p = as_probs(ls)
+        assert np.array_equal(p.probs, softmax(ls).probs)
+        assert as_probs(p) is p
 
 
 class TestMaxProbView:
@@ -203,6 +253,19 @@ class TestSplitValidation:
         p = PredictionSet(np.array([[0.5, 0.5]]), np.array([0]))
         with pytest.raises(ValidationError):
             split_validation(p)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_halves_of_both_containers(self, rng, n):
+        labels = rng.integers(0, 3, n)
+        logits = LogitSet(rng.standard_normal((n, 3)), labels)
+        probs = softmax(logits)
+        cut = (n + 1) // 2
+        for data, field in ((logits, "logits"), (probs, "probs")):
+            fit, ev = split_validation(data)
+            for half, rows in ((fit, slice(cut)), (ev, slice(cut, None))):
+                assert type(half) is type(data)
+                assert np.array_equal(getattr(half, field), getattr(data, field)[rows])
+                assert np.array_equal(half.labels, labels[rows])
 
 
 @settings(max_examples=60, deadline=None)
