@@ -23,7 +23,6 @@ from .binning import DEFAULT_BINS
 from .metrics import (
     AXES,
     NAMED_METRICS,
-    EmptyMeasurementError,
     MetricConfig,
     all_configs,
     binned_stats,
@@ -33,13 +32,7 @@ from .metrics import (
     metric_index,
 )
 from .optimize import DivergenceError
-from .predictions import (
-    LogitSet,
-    PredictionSet,
-    ValidationError,
-    as_probs,
-    split_validation,
-)
+from .predictions import LogitSet, PredictionSet, as_probs, split_validation
 from .recalibrate import (
     BOOTSTRAP_RESAMPLES,
     EMPTY_BIN_FALLBACKS,
@@ -51,7 +44,6 @@ from .recalibrate import (
     run_recalibrator,
 )
 from .io import (
-    PredictionFileError,
     RunConfig,
     bin_stats_rows,
     BIN_STATS_HEADER,
@@ -93,22 +85,18 @@ def _add_metric_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_metric(args) -> MetricConfig:
-    base = read_run_config(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "named", None) is not None:
+    base = read_run_config(args.config) if args.config else RunConfig()
+    if args.named is not None:
         base.named = args.named
     else:
         for field in AXES:
-            value = getattr(args, field, None)
+            value = getattr(args, field)
             if value is not None:
                 base.named = None
                 setattr(base, field, value)
-    if getattr(args, "bins", None) is not None:
+    if args.bins is not None:
         base.bins = args.bins
     return base.metric_config()
-
-
-def _load_predictions(args) -> PredictionSet | LogitSet:
-    return read_prediction_file(args.predictions, logits=args.logits)
 
 
 def _grid_index(cfg: MetricConfig) -> int | None:
@@ -122,8 +110,6 @@ def _grid_index(cfg: MetricConfig) -> int | None:
 def _parse_named_inputs(pairs: list[str], command: str) -> dict[str, PredictionSet]:
     out: dict[str, PredictionSet] = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise UsageError(f"input {pair!r} must look like name=path")
         name, _, path = pair.partition("=")
         if not name or not path:
             raise UsageError(f"input {pair!r} must look like name=path")
@@ -138,10 +124,19 @@ def _parse_named_inputs(pairs: list[str], command: str) -> dict[str, PredictionS
 ALL_32_HEADER = ["index", *AXES, "bins", "score"]
 
 
+def _write_report(path: str, header: list[str], rows: list[list], doc) -> None:
+    """``doc`` as JSON when ``path`` ends in .json, else ``rows`` as CSV."""
+    if path.endswith(".json"):
+        write_json(path, doc)
+    else:
+        write_table(path, header, rows)
+
+
 def cmd_measure(args) -> int:
-    p = as_probs(_load_predictions(args))
+    p = as_probs(read_prediction_file(args.predictions, logits=args.logits))
+    cfg = _resolve_metric(args)
     if args.all_32:
-        bins = args.bins if args.bins is not None else DEFAULT_BINS
+        bins = cfg.binning.n_bins
         rows = [
             [i, *score.config.axis_tuple(), bins, score.value]
             for i, score in enumerate(gce_many(p, all_configs(bins)))
@@ -149,16 +144,17 @@ def cmd_measure(args) -> int:
         for row in rows:
             print(",".join(map(format_value, row)))
         if args.output:
-            _write_report_rows(args.output, ALL_32_HEADER, rows)
+            doc = [dict(zip(ALL_32_HEADER, row)) for row in rows]
+            _write_report(args.output, ALL_32_HEADER, rows, doc)
         return 0
-    cfg = _resolve_metric(args)
     score, stats = gce_with_bins(p, cfg)
+    rows = bin_stats_rows(stats)
     index = _grid_index(cfg)
     index_note = "" if index is None else f"index={index} "
     print(f"metric: {index_note}{cfg.label()} bins={cfg.binning.n_bins}")
     print(f"score: {format_float(score.value)}")
     print(",".join(BIN_STATS_HEADER))
-    for row in bin_stats_rows(stats):
+    for row in rows:
         print(",".join(map(format_value, row)))
     if args.output:
         doc = {
@@ -166,24 +162,14 @@ def cmd_measure(args) -> int:
             "bins": cfg.binning.n_bins,
             "score": score.value,
             "per_class": score.per_class,
-            "bin_stats": [dict(zip(BIN_STATS_HEADER, row)) for row in bin_stats_rows(stats)],
+            "bin_stats": [dict(zip(BIN_STATS_HEADER, row)) for row in rows],
         }
-        if args.output.endswith(".json"):
-            write_json(args.output, doc)
-        else:
-            write_table(args.output, BIN_STATS_HEADER, bin_stats_rows(stats))
+        _write_report(args.output, BIN_STATS_HEADER, rows, doc)
     return 0
 
 
-def _write_report_rows(path: str, header: list[str], rows: list[list]) -> None:
-    if path.endswith(".json"):
-        write_json(path, [dict(zip(header, row)) for row in rows])
-    else:
-        write_table(path, header, rows)
-
-
 def cmd_recalibrate(args) -> int:
-    data = _load_predictions(args)
+    data = read_prediction_file(args.predictions, logits=args.logits)
     if RECALIBRATORS[args.method].logits and not isinstance(data, LogitSet):
         raise UsageError(
             f"method {args.method!r} requires logits input; pass --logits "
@@ -269,15 +255,15 @@ def cmd_sweep_bins(args) -> int:
 
 def cmd_rank_methods(args) -> int:
     inputs = _parse_named_inputs(args.inputs, "rank-methods")
-    bins = args.bins if args.bins is not None else DEFAULT_BINS
-    table = rank_methods(inputs, n_bins=bins)
-    header = ["rank"] + [str(metric_index(cfg)) for cfg in table.configs]
+    table = rank_methods(inputs, n_bins=args.bins)
+    indices = [metric_index(cfg) for cfg in table.configs]
+    header = ["rank"] + [str(i) for i in indices]
     rows = [[r + 1] + row for r, row in enumerate(table.rows())]
     write_table(f"{args.output_prefix}.table.csv", header, rows)
     score_rows = [
-        [name, metric_index(cfg), table.scores[m, c]]
+        [name, index, table.scores[m, c]]
         for m, name in enumerate(table.methods)
-        for c, cfg in enumerate(table.configs)
+        for c, index in enumerate(indices)
     ]
     write_table(
         f"{args.output_prefix}.scores.csv",
@@ -288,10 +274,10 @@ def cmd_rank_methods(args) -> int:
         f"{args.output_prefix}.meta.json",
         {
             "methods": list(table.methods),
-            "bins": bins,
+            "bins": args.bins,
             "configs": [
-                dict(zip(["index", *AXES], [metric_index(cfg), *cfg.axis_tuple()]))
-                for cfg in table.configs
+                dict(zip(["index", *AXES], [index, *cfg.axis_tuple()]))
+                for index, cfg in zip(indices, table.configs)
             ],
         },
     )
@@ -332,7 +318,7 @@ def cmd_label_noise(args) -> int:
 
 
 def cmd_reliability(args) -> int:
-    p = as_probs(_load_predictions(args))
+    p = as_probs(read_prediction_file(args.predictions, logits=args.logits))
     cfg = _resolve_metric(args)
     stats = binned_stats(p, cfg)
     rows = bin_stats_rows(stats)
@@ -410,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("rank-methods",
                        help="order methods under all 32 metric variants")
     k.add_argument("--inputs", nargs="+", required=True, metavar="NAME=PATH")
-    k.add_argument("--bins", type=int, default=None,
+    k.add_argument("--bins", type=int, default=DEFAULT_BINS,
                    help=f"metric bin count (default {DEFAULT_BINS})")
     k.add_argument("--output-prefix", required=True,
                    help="writes <prefix>.table.csv, <prefix>.scores.csv, "
@@ -466,14 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (
-        PredictionFileError,
-        ValidationError,
-        EmptyMeasurementError,
-        DivergenceError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, DivergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

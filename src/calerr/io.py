@@ -102,12 +102,9 @@ def read_prediction_file(path, logits: bool = False) -> PredictionSet | LogitSet
 
 def write_prediction_file(path, data: PredictionSet | LogitSet, header: bool = False) -> None:
     matrix = data.logits if isinstance(data, LogitSet) else data.probs
-    lines = []
-    if header:
-        lines.append(",".join([f"p{i}" for i in range(matrix.shape[1])] + ["label"]))
-    for row, label in zip(matrix, data.labels):
-        lines.append(",".join([format_float(x) for x in row] + [str(int(label))]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    names = [f"p{i}" for i in range(matrix.shape[1])] + ["label"] if header else None
+    rows = [[*row, label] for row, label in zip(matrix.tolist(), data.labels.tolist())]
+    write_table(path, names, rows)
 
 
 def write_table(path, header: list[str] | None, rows: list[list]) -> None:
@@ -116,7 +113,7 @@ def write_table(path, header: list[str] | None, rows: list[list]) -> None:
     if header is not None:
         lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+        lines.append(",".join(map(format_value, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

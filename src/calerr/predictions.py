@@ -41,7 +41,7 @@ class _LabeledMatrix:
     def __post_init__(self) -> None:
         name = self._matrix
         matrix = np.array(getattr(self, name), dtype=float)
-        labels = np.array(self.labels, dtype=int)
+        raw = np.asarray(self.labels)
         if matrix.ndim != 2:
             raise ValidationError(f"{name} must be 2-D, got shape {matrix.shape}")
         n, k = matrix.shape
@@ -52,10 +52,18 @@ class _LabeledMatrix:
         if not np.all(np.isfinite(matrix)):
             raise ValidationError(f"{name} contain non-finite entries")
         self._check_values(matrix)
-        if labels.ndim != 1:
-            raise ValidationError(f"labels must be 1-D, got shape {labels.shape}")
-        if labels.shape[0] != n:
-            raise ValidationError(f"got {labels.shape[0]} labels for {n} prediction rows")
+        if raw.ndim != 1:
+            raise ValidationError(f"labels must be 1-D, got shape {raw.shape}")
+        if raw.shape[0] != n:
+            raise ValidationError(f"got {raw.shape[0]} labels for {n} prediction rows")
+        # The int cast would truncate these silently, so they are refused.
+        if raw.dtype.kind == "f":
+            bad = ~np.isfinite(raw) | (raw != np.trunc(raw))
+        else:
+            bad = np.full(raw.shape, raw.dtype == bool)
+        if bad.any():
+            raise ValidationError(f"labels must be integers, got {raw[bad][0]}")
+        labels = raw.astype(int)
         if labels.min() < 0 or labels.max() >= k:
             raise ValidationError(
                 f"labels must lie in [0, {k - 1}], got range "
@@ -106,7 +114,7 @@ class PredictionSet(_LabeledMatrix):
         worst = np.argmax(np.abs(row_sums - 1.0))
         if abs(row_sums[worst] - 1.0) > PROB_SUM_TOL:
             raise ValidationError(
-                f"row {worst} sums to {row_sums[worst]!r}, outside "
+                f"row {worst} sums to {float(row_sums[worst])!r}, outside "
                 f"1 +/- {PROB_SUM_TOL}"
             )
 

@@ -103,15 +103,19 @@ def _dense_objective(x: np.ndarray, labels: np.ndarray, widths):
 
     def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
         weights, biases = _unpack(params, widths)
-        inputs, out = _dense_forward(weights, biases, x)
-        loss, grad = _nll_and_grad(out, labels)
-        grad_w, grad_b = [], []
-        # grad is the loss gradient w.r.t. each layer's output, last layer first.
-        for layer in range(len(weights) - 1, -1, -1):
-            grad_w.append(grad.T @ inputs[layer])
-            grad_b.append(grad.sum(axis=0))
-            if layer:
-                grad = (grad @ weights[layer]) * (inputs[layer] > 0.0)
+        # Saturated inputs can overflow to inf or nan here.  No warning is
+        # needed: sgd_minimize turns a non-finite loss or gradient into
+        # DivergenceError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            inputs, out = _dense_forward(weights, biases, x)
+            loss, grad = _nll_and_grad(out, labels)
+            grad_w, grad_b = [], []
+            # grad is the loss gradient w.r.t. each layer's output, last layer first.
+            for layer in range(len(weights) - 1, -1, -1):
+                grad_w.append(grad.T @ inputs[layer])
+                grad_b.append(grad.sum(axis=0))
+                if layer:
+                    grad = (grad @ weights[layer]) * (inputs[layer] > 0.0)
         return loss, _pack(grad_w[::-1], grad_b[::-1])
 
     return f_and_grad
@@ -770,7 +774,8 @@ def run_recalibrator(
 ):
     """Fit ``RECALIBRATORS[method]`` on ``fit_data``; return (model, recalibrated eval_data).
 
-    Probability methods softmax logit inputs; logit methods need logits.
+    Probability methods softmax logit inputs; logit methods refuse
+    probabilities with :class:`ValidationError`.
     ``n_bins``, ``bootstrap`` and ``empty_bin`` set the histogram fits,
     ``seed`` the bootstrap draws and the MLP init, ``objective`` and
     ``metric`` the temperature fit.
@@ -778,6 +783,8 @@ def run_recalibrator(
     entry = RECALIBRATORS[method]
     if not entry.logits:
         fit_data, eval_data = as_probs(fit_data), as_probs(eval_data)
+    elif not (isinstance(fit_data, LogitSet) and isinstance(eval_data, LogitSet)):
+        raise ValidationError(f"method {method!r} requires logits input")
     given = dict(n_bins=n_bins, bootstrap=bootstrap, seed=seed, empty_bin=empty_bin,
                  objective=objective, metric=metric)
     model = entry.fit(fit_data, **{name: given[name] for name in entry.options})

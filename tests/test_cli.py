@@ -124,6 +124,23 @@ class TestMeasure:
         cfg.write_text('{"bin_count": 10}')
         assert main(["measure", probs_csv, "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("flags, bins", [([], 7), (["--bins", "9"], 9)])
+    def test_all_32_takes_config_bins(self, flags, bins, probs_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"bins": 7}')
+        assert main(["measure", probs_csv, "--all-32", "--config", str(cfg), *flags]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert [row[0] for row in rows] == [str(i) for i in range(32)]
+        assert {row[-2] for row in rows} == {str(bins)}
+
+    @pytest.mark.parametrize("text", ['{"bin_count": 10}', '{"threshold": 1.5}'])
+    def test_all_32_checks_config(self, text, probs_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        assert main(["measure", probs_csv, "--all-32", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_logits_flag_applies_softmax(self, logits_csv, capsys):
         assert main(["measure", logits_csv, "--logits"]) == 0
         assert "score: " in capsys.readouterr().out
@@ -236,20 +253,33 @@ class TestRecalibrateGolden:
             (tmp_path / file).write_text(text)
         assert golden.run_cli_case(argv, written, tmp_path) == self.GOLDEN["cli"][name]
 
-    def test_saturated_binary_platt_is_silent(self, tmp_path):
+    @staticmethod
+    def saturated_logits(method: str) -> LogitSet:
+        if method == "platt":
+            return LogitSet(np.array([[1e4, -1e4], [-1e4, 1e4]] * 10), np.array([0, 1] * 10))
+        rng = np.random.default_rng(0)
+        z = np.where(rng.random((40, 5)) < 0.5, 1e4, -1e4)
+        return LogitSet(z, rng.integers(0, 5, 40))
+
+    # Binary Platt fits; the dense network diverges and says so in one line.
+    @pytest.mark.parametrize("method, code, stderr", [
+        ("platt", 0, r""),
+        ("mlp", 1, r"error: non-finite loss or gradient at iteration \d+ "
+                   r"\(learning_rate=0\.001\)\n"),
+    ], ids=["platt", "mlp"])
+    def test_saturated_logits_are_silent(self, method, code, stderr, tmp_path):
         # A fresh interpreter, so numpy warnings reach stderr as a user sees them.
-        logits = LogitSet(
-            np.array([[1e4, -1e4], [-1e4, 1e4]] * 10), np.array([0, 1] * 10)
-        )
-        write_prediction_file(tmp_path / "sat.csv", logits)
+        write_prediction_file(tmp_path / "sat.csv", self.saturated_logits(method))
         run = subprocess.run(
             [sys.executable, "-m", "calerr.cli", "recalibrate", str(tmp_path / "sat.csv"),
-             "--logits", "--method", "platt", "--output-prefix", str(tmp_path / "out")],
+             "--logits", "--method", method, "--seed", "1",
+             "--output-prefix", str(tmp_path / "out")],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(Path(calerr.__file__).parents[1])},
         )
-        assert run.returncode == 0
-        assert run.stderr == ""
+        assert run.returncode == code
+        assert "Warning" not in run.stderr
+        assert re.fullmatch(stderr, run.stderr)
 
 
 MALFORMED = [

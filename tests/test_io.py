@@ -69,6 +69,24 @@ class TestPredictionFiles:
         assert text.endswith("\n")
         back = read_prediction_file(path)
         assert back.n_points == 4
+        # Exact bytes for both containers, with and without the header.
+        probs_rows = (
+            "0.80000000000000004,0.20000000000000001,0\n"
+            "0.69999999999999996,0.29999999999999999,1\n"
+            "0.40000000000000002,0.59999999999999998,1\n"
+            "0.90000000000000002,0.10000000000000001,0\n"
+        )
+        logits = LogitSet(np.array([[1 / 3, -2.0, 0.0], [1e-17, 123456.789, -0.5]]),
+                          np.array([2, 0]))
+        logit_rows = "0.33333333333333331,-2,0,2\n1.0000000000000001e-17,123456.789,-0.5,0\n"
+        for data, header, expected in [
+            (tiny_preds, False, probs_rows),
+            (tiny_preds, True, "p0,p1,label\n" + probs_rows),
+            (logits, False, logit_rows),
+            (logits, True, "p0,p1,p2,label\n" + logit_rows),
+        ]:
+            write_prediction_file(path, data, header=header)
+            assert path.read_text() == expected
 
     def test_logits_round_trip(self, tmp_path, rng):
         ls = LogitSet(rng.standard_normal((6, 3)), rng.integers(0, 3, 6))

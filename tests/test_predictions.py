@@ -84,6 +84,9 @@ _VALIDATION_CASES = [
     ("label-shape", _ONE_ROW, [[0]], "labels must be 1-D, got shape (1, 1)"),
     ("label-count", _ONE_ROW, [0, 1], "got 2 labels for 1 prediction rows"),
     ("label-range", _ONE_ROW, [2], "labels must lie in [0, 1], got range [2, 2]"),
+    ("label-fraction", _ONE_ROW, [1.7], "labels must be integers, got 1.7"),
+    ("label-bool", _ONE_ROW, [True], "labels must be integers, got True"),
+    ("label-nan", _ONE_ROW, [np.nan], "labels must be integers, got nan"),
 ]
 _CONTAINERS = [(PredictionSet, "probs", "prediction"), (LogitSet, "logits", "logit")]
 
@@ -100,12 +103,18 @@ class TestValidationMessages:
 
     @pytest.mark.parametrize("probs, message", [
         ([[1.2, -0.2]], "probs must lie in [0, 1]"),
-        ([[0.5, 0.4]], "row 0 sums to np.float64(0.9), outside 1 +/- 1e-06"),
+        ([[0.5, 0.4]], "row 0 sums to 0.9, outside 1 +/- 1e-06"),
     ], ids=["out-of-range", "row-sum"])
     def test_probability_rules(self, probs, message):
         with pytest.raises(ValidationError) as exc:
             PredictionSet(np.array(probs), np.array([0]))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("container", [PredictionSet, LogitSet])
+    @pytest.mark.parametrize("dtype", [float, np.float32, np.int8, np.uint16, np.int64])
+    def test_whole_number_labels_of_any_numeric_dtype_pass(self, container, dtype):
+        p = container(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([1, 0], dtype=dtype))
+        assert p.labels.tolist() == [1, 0] and p.labels.dtype == int
 
     def test_probability_rules_come_before_labels(self):
         with pytest.raises(ValidationError, match="sums to"):

@@ -560,6 +560,12 @@ class TestRecalibratorTable:
             "platt", "temperature", "vector", "matrix", "mlp"
         }
 
+    @pytest.mark.parametrize("method", [m for m, e in RECALIBRATORS.items() if e.logits])
+    def test_logit_method_rejects_probabilities(self, method):
+        fit, ev = (softmax(half) for half in self.extreme_split("K=2"))
+        with pytest.raises(ValidationError, match=f"method '{method}' requires logits"):
+            run_recalibrator(method, fit, ev)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "case", ["saturated", "absent class", "K=2", "1e4", "1e4 K=2"]
