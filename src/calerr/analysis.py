@@ -269,6 +269,9 @@ def label_noise_experiment(
         raise ValueError("need at least one noise level")
     if any(not 0.0 <= q <= 1.0 for q in levels):
         raise ValueError("noise levels must lie in [0, 1]")
+    for name, size in (("n_train", n_train), ("n_test", n_test)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
 
     root = np.random.SeedSequence(seed)
     children = root.spawn(1 + len(levels))

@@ -20,7 +20,7 @@ bin) arrays of entry counts, score sums and correct counts.  Even binning is
 one ``bincount`` on the key ``pool * B + bin``; adaptive binning maps each
 entry's rank in the view's stable sort, made once and shared by every bin
 count, to its run.  :class:`BinStats` is the reporting form of one bin,
-built from those arrays by :func:`bin_stats` and :func:`pool_bin_stats`.
+built from those arrays by :func:`pool_bin_stats`.
 
 A stable argsort is several times slower than numpy's default one, so a
 view without per-entry pool labels whose pools hold no two equal scores
@@ -35,8 +35,6 @@ import functools
 import numbers
 
 import numpy as np
-
-from .predictions import ScoredPredictions
 
 BIN_KINDS = ("even", "adaptive")
 DEFAULT_BINS = 15
@@ -206,22 +204,6 @@ def _midpoint_edges(
     return edges
 
 
-def adaptive_edges(scores: np.ndarray, n_bins: int) -> np.ndarray:
-    """Midpoint edges for equal-count bins over the given scores.
-
-    The first edge is 0, the last is 1, and interior edge b is the midpoint
-    of the last score of run b and the first score of run b + 1 (in sorted
-    order).  Runs of size zero (more bins than scores) collapse their edges
-    onto the neighboring boundary.
-    """
-    s = np.sort(np.asarray(scores, dtype=float))
-    if s.shape[0] == 0:
-        raise ValueError("adaptive edges need at least one score")
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    return _midpoint_edges(s, np.array([s.shape[0]]), n_bins)[0]
-
-
 def pool_bin_stats(
     view: PooledScores,
     scheme: BinScheme,
@@ -254,15 +236,3 @@ def pool_bin_stats(
         for k, pool in enumerate(columns)
     ]
 
-
-def bin_stats(preds: ScoredPredictions, scheme: BinScheme) -> list[BinStats]:
-    """Partition a score view into bins and summarize each bin.
-
-    Even schemes may produce empty bins (count 0, accuracy and confidence 0).
-    Adaptive schemes need at least one prediction; membership follows sorted
-    position with stable tie order.
-    """
-    if scheme.kind == "adaptive" and len(preds) == 0:
-        raise ValueError("adaptive binning needs at least one prediction")
-    view = PooledScores(preds.scores, np.flatnonzero(preds.correct), None, 1)
-    return pool_bin_stats(view, scheme, bin_totals(view, scheme))[0]

@@ -25,7 +25,6 @@ from .metrics import (
     NAMED_METRICS,
     MetricConfig,
     all_configs,
-    binned_stats,
     gce,
     gce_many,
     gce_with_bins,
@@ -133,6 +132,12 @@ def _write_report(path: str, header: list[str], rows: list[list], doc) -> None:
 
 
 def cmd_measure(args) -> int:
+    if args.all_32:
+        for field in ("named", *AXES):
+            value = getattr(args, field)
+            if value is not None:
+                flag = ("--no-" if value is False else "--") + field.replace("_", "-")
+                raise UsageError(f"--all-32 takes only --bins and --config, not {flag}")
     p = as_probs(read_prediction_file(args.predictions, logits=args.logits))
     cfg = _resolve_metric(args)
     if args.all_32:
@@ -320,7 +325,7 @@ def cmd_label_noise(args) -> int:
 def cmd_reliability(args) -> int:
     p = as_probs(read_prediction_file(args.predictions, logits=args.logits))
     cfg = _resolve_metric(args)
-    stats = binned_stats(p, cfg)
+    stats = gce_with_bins(p, cfg)[1]
     rows = bin_stats_rows(stats)
     write_table(args.output, BIN_STATS_HEADER, rows)
     occupied = sum(1 for st in stats if st.count)

@@ -32,9 +32,7 @@ def format_float(x: float) -> str:
 
 
 def format_value(v) -> str:
-    """Stable cell rendering: floats at 17 significant digits, rest via str."""
-    if isinstance(v, bool):
-        return str(v)
+    """Stable cell rendering: floats at 17 significant digits, None empty, rest via str."""
     if isinstance(v, float):
         return format_float(v)
     if v is None:

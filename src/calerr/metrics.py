@@ -41,9 +41,8 @@ pass: each distinct score view is split into pools (a
 :func:`calerr.binning.bin_totals` to per-(pool, bin) counts, confidence
 sums and correct counts, shared across norms.  Pool errors and the class
 mean are array operations on those totals, over the classes that hold
-entries; :func:`gce` is the one-config case, :func:`binned_stats` formats
-the totals as :class:`BinStats`, and :func:`gce_with_bins` returns both
-from one view and one set of totals.
+entries; :func:`gce` is the one-config case, and :func:`gce_with_bins`
+returns the score with the totals formatted as :class:`BinStats`.
 """
 
 from __future__ import annotations
@@ -205,21 +204,14 @@ def _pooled_view(p: PredictionSet, cfg: MetricConfig) -> PooledScores:
     return PooledScores(scores, hits, None, 1)
 
 
-def binned_stats(p: PredictionSet, cfg: MetricConfig) -> list[BinStats]:
-    """The exact per-bin stats the metric aggregates, class-tagged if conditional.
-
-    Class-conditional configs emit each class's bins tagged with that class.
-    A class whose pool is empty after thresholding contributes a single
-    zero-count placeholder bin spanning [0, 1] so downstream consumers see
-    the class flagged rather than silently missing.
-    """
-    return gce_with_bins(p, cfg)[1]
-
-
 def gce_with_bins(
     p: PredictionSet, cfg: MetricConfig
 ) -> tuple[CalibrationScore, list[BinStats]]:
-    """``(gce(p, cfg), binned_stats(p, cfg))`` from one view and its bin totals."""
+    """``gce(p, cfg)`` and the per-bin stats it aggregates, from one view.
+
+    Class-conditional bins carry their class; a class that the threshold
+    empties contributes one zero-count placeholder bin spanning [0, 1].
+    """
     view = _pooled_view(p, cfg)
     totals = bin_totals(view, cfg.binning)
     out: list[BinStats] = []

@@ -213,15 +213,11 @@ def full_prob_view(p: PredictionSet, threshold: float = 0.0) -> ScoredPrediction
     """
     if not 0.0 <= threshold < 1.0:
         raise ValidationError(f"threshold must lie in [0, 1), got {threshold}")
-    n, k = p.probs.shape
+    k = p.n_classes
     scores = p.probs.ravel()
-    if threshold > 0.0:
-        # Only the surviving positions are expanded into classes and labels.
-        pos = np.flatnonzero(scores > threshold)
-        class_index = pos % k
-        return ScoredPredictions(scores[pos], class_index, class_index == p.labels[pos // k])
-    class_index = np.tile(np.arange(k), n)
-    return ScoredPredictions(scores, class_index, class_index == np.repeat(p.labels, k))
+    pos = np.flatnonzero(scores > threshold) if threshold > 0.0 else np.arange(scores.size)
+    class_index = pos % k
+    return ScoredPredictions(scores[pos], class_index, class_index == p.labels[pos // k])
 
 
 def split_validation(

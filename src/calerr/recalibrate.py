@@ -175,9 +175,9 @@ class _Model:
 class HistogramBinningModel(_Model):
     """Even-bin lookup table replacing each max-prob with validation accuracy.
 
-    ``bin_values`` is the pooled table; ``class_values`` maps each predicted
-    class to its own table when the model is class-conditional (predicted
-    classes never seen during fitting fall back to the pooled table).
+    ``bin_values`` is the pooled table; a class-conditional fit also maps
+    every class to its own table in ``class_values``, so the pooled table
+    serves only class indices missing from it (a hand-built or edited model).
     ``empty_bin`` records the fallback rule used for bins with no validation
     points: their own center, or the value of the nearest occupied bin.
     """
@@ -228,7 +228,8 @@ def fit_histogram_binning(
 
     Max-prob scores are placed into ``n_bins`` even bins; each occupied bin
     stores the mean correctness of its members.  With ``class_conditional``
-    a separate table is kept per predicted class.  With ``bootstrap`` = R the
+    every class gets its own table; one that no validation point predicts
+    gets the ``empty_bin`` fallback in every bin.  With ``bootstrap`` = R the
     validation view is resampled with replacement R times (seeded) and each
     bin stores its mean accuracy over the resamples in which it was occupied.
     Bins occupied in no resample use the ``empty_bin`` fallback.

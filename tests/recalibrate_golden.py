@@ -1,6 +1,6 @@
 """Golden outputs of the CLI: ``calerr recalibrate``, one case per method or
-option, and the report files of ``measure``, ``sweep-bins`` and
-``rank-methods``.
+option, and the report files of ``measure``, ``reliability``,
+``sweep-bins`` and ``rank-methods``.
 
 ``run_case`` runs one recalibrate case through the CLI and ``run_cli_case``
 one of the other commands; each returns the exit code, stdout and
@@ -58,6 +58,12 @@ CLI_CASES = [
     ("measure all-32 json",
      ["measure", "logits.csv", "--logits", "--all-32", "--output", "out.json"],
      ("out.json",)),
+    ("measure TACE json",
+     ["measure", "probs.csv", "--named", "TACE", "--output", "out.json"],
+     ("out.json",)),
+    ("reliability ACE",
+     ["reliability", "probs.csv", "--named", "ACE", "--output", "out.csv"],
+     ("out.csv",)),
     ("sweep-bins uncalibrated",
      ["sweep-bins", "--inputs", *METHODS, "--uncalibrated", "probs.csv",
       "--bins", "5", "10", "20", "--output-prefix", "out"],

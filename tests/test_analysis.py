@@ -225,6 +225,11 @@ class TestLabelNoise:
         with pytest.raises(ValueError, match="at least one noise level"):
             label_noise_experiment(levels=[])
 
+    @pytest.mark.parametrize("split", ["n_train", "n_test"])
+    def test_rejects_empty_split(self, split):
+        with pytest.raises(ValueError, match=f"^{split} must be >= 1, got 0$"):
+            label_noise_experiment(levels=[0.0], **{split: 0})
+
 
 class TestPathology:
     def test_composition(self):

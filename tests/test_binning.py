@@ -15,26 +15,29 @@ from calerr import (
     BinStats,
     PredictionSet,
     all_configs,
-    bin_stats,
     gce_many,
     row_softmax,
 )
 from calerr.binning import (
     PooledScores,
     adaptive_counts,
-    adaptive_edges,
     assign_even_bins,
+    bin_totals,
     even_edges,
+    pool_bin_stats,
 )
-from calerr.predictions import ScoredPredictions
 
 
-def view_of(scores, correct):
-    scores = np.asarray(scores, dtype=float)
-    n = scores.shape[0]
-    return ScoredPredictions(
-        scores, np.zeros(n, dtype=int), np.asarray(correct, dtype=bool)
-    )
+def bins_of(scores, correct, scheme):
+    """The bins of one pool of ``scores``; ``correct`` marks the hits."""
+    view = PooledScores(np.asarray(scores, dtype=float), np.flatnonzero(correct), None, 1)
+    return pool_bin_stats(view, scheme, bin_totals(view, scheme))[0]
+
+
+def adaptive_edges(scores, n_bins):
+    """The edges of the adaptive bins of ``scores``, read from the bins."""
+    stats = bins_of(scores, [], BinScheme("adaptive", n_bins))
+    return np.array([stats[0].lower] + [st_.upper for st_ in stats])
 
 
 class TestBinScheme:
@@ -119,10 +122,6 @@ class TestAdaptiveEdges:
         edges = adaptive_edges(np.array([0.5]), 3)
         assert edges[0] == 0.0 and edges[-1] == 1.0
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            adaptive_edges(np.array([]), 2)
-
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_edges_non_decreasing(self, seed):
@@ -136,7 +135,7 @@ class TestAdaptiveEdges:
 class TestBinStats:
     def test_even_totals(self):
         scores = [0.05, 0.15, 0.17, 0.95]
-        stats = bin_stats(view_of(scores, [1, 0, 1, 1]), BinScheme("even", 10))
+        stats = bins_of(scores, [1, 0, 1, 1], BinScheme("even", 10))
         assert len(stats) == 10
         assert sum(s.count for s in stats) == 4
         assert stats[1].count == 2
@@ -144,7 +143,7 @@ class TestBinStats:
         assert stats[1].confidence == pytest.approx(0.16)
 
     def test_even_empty_bins_are_zeroed(self):
-        stats = bin_stats(view_of([0.95], [1]), BinScheme("even", 10))
+        stats = bins_of([0.95], [1], BinScheme("even", 10))
         empty = stats[0]
         assert empty.count == 0
         assert empty.accuracy == 0.0 and empty.confidence == 0.0
@@ -155,7 +154,7 @@ class TestBinStats:
 
     def test_adaptive_equal_count(self):
         scores = [0.9, 0.1, 0.5, 0.3]
-        stats = bin_stats(view_of(scores, [1, 0, 1, 0]), BinScheme("adaptive", 2))
+        stats = bins_of(scores, [1, 0, 1, 0], BinScheme("adaptive", 2))
         assert [s.count for s in stats] == [2, 2]
         # sorted order: 0.1, 0.3 | 0.5, 0.9
         assert stats[0].confidence == pytest.approx(0.2)
@@ -165,13 +164,9 @@ class TestBinStats:
     def test_adaptive_ties_keep_original_order(self):
         # all scores equal: membership must follow input position
         scores = [0.5, 0.5, 0.5, 0.5]
-        stats = bin_stats(view_of(scores, [1, 1, 0, 0]), BinScheme("adaptive", 2))
+        stats = bins_of(scores, [1, 1, 0, 0], BinScheme("adaptive", 2))
         assert stats[0].accuracy == pytest.approx(1.0)
         assert stats[1].accuracy == pytest.approx(0.0)
-
-    def test_adaptive_rejects_empty_view(self):
-        with pytest.raises(ValueError):
-            bin_stats(view_of([], []), BinScheme("adaptive", 2))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -183,7 +178,7 @@ class TestBinStats:
         correct = rng.random(n) < 0.5
         for kind in ("even", "adaptive"):
             b = int(rng.integers(1, 25))
-            stats = bin_stats(view_of(scores, correct), BinScheme(kind, b))
+            stats = bins_of(scores, correct, BinScheme(kind, b))
             assert sum(s.count for s in stats) == n
             conf_sum = sum(s.count * s.confidence for s in stats)
             acc_sum = sum(s.count * s.accuracy for s in stats)
@@ -232,10 +227,7 @@ class TestPooledOrder:
         scores = rng.random(200)
         scores[rng.choice(200, 30, replace=False)] = np.nan
         correct = rng.random(200) < 0.5
-        stats = bin_stats(
-            ScoredPredictions(scores, np.zeros(200, dtype=int), correct),
-            BinScheme("adaptive", 7),
-        )
+        stats = bins_of(scores, correct, BinScheme("adaptive", 7))
         order = np.argsort(scores, kind="stable")
         runs = np.split(order, np.cumsum(adaptive_counts(200, 7))[:-1])
         assert [st_.count for st_ in stats] == [len(run) for run in runs]

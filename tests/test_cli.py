@@ -141,6 +141,21 @@ class TestMeasure:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("flags", [
+        ["--named", "ECE"], ["--binning", "adaptive"], ["--max-probs"],
+        ["--no-max-probs"], ["--class-conditional"], ["--no-class-conditional"],
+        ["--threshold", "0.01"], ["--norm", "l2"],
+    ], ids=lambda flags: flags[0])
+    def test_all_32_rejects_axis_flags(self, flags, probs_csv, tmp_path, capsys):
+        # The config file does not exist: the flag is refused before it is read.
+        missing = str(tmp_path / "missing.json")
+        argv = ["measure", probs_csv, "--all-32", *flags, "--config", missing]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert flags[0] in captured.err
+
     def test_logits_flag_applies_softmax(self, logits_csv, capsys):
         assert main(["measure", logits_csv, "--logits"]) == 0
         assert "score: " in capsys.readouterr().out
@@ -460,6 +475,15 @@ class TestLabelNoise:
         assert main(["label-noise", "--levels", levels, "--output", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: need at least one noise level\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["n_train", "n_test"])
+    def test_empty_split_is_data_error(self, split, tmp_path, capsys):
+        out = tmp_path / "noise.csv"
+        flag = "--" + split.replace("_", "-")
+        assert main(["label-noise", "--levels", "2", flag, "0", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {split} must be >= 1, got 0\n"
         assert not out.exists()
 
 

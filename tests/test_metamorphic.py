@@ -19,8 +19,8 @@ from calerr import (
     LogitSet,
     PredictionSet,
     all_configs,
-    binned_stats,
     gce,
+    gce_with_bins,
     softmax,
 )
 
@@ -105,7 +105,7 @@ def test_adaptive_runs_balanced_in_every_pool(seed):
         if cfg.binning.kind != "adaptive":
             continue
         try:
-            stats = binned_stats(p, cfg)
+            stats = gce_with_bins(p, cfg)[1]
         except EmptyMeasurementError:
             continue
         pools: dict = {}
@@ -136,4 +136,4 @@ def test_softmax_shift_invariance(seed):
         assert got.value == want.value, cfg.label()
         assert got.per_class == want.per_class, cfg.label()
         if cfg.norm == "l1":  # the bins do not depend on the norm
-            assert binned_stats(moved, cfg) == binned_stats(p, cfg), cfg.label()
+            assert gce_with_bins(moved, cfg)[1] == gce_with_bins(p, cfg)[1], cfg.label()

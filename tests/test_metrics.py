@@ -16,7 +16,6 @@ from calerr import (
     MetricConfig,
     PredictionSet,
     all_configs,
-    binned_stats,
     brier_score,
     gce,
     gce_many,
@@ -156,7 +155,7 @@ class TestGce:
 
     def test_binned_stats_tags_classes(self, tiny_preds):
         cfg = MetricConfig(BinScheme("even", 2), class_conditional=True)
-        stats = binned_stats(tiny_preds, cfg)
+        stats = gce_with_bins(tiny_preds, cfg)[1]
         assert {s.class_index for s in stats} == {0, 1}
 
     def test_binned_stats_placeholder_for_empty_class(self):
@@ -170,7 +169,7 @@ class TestGce:
             class_conditional=True,
             threshold=0.01,
         )
-        stats = binned_stats(p, cfg)
+        stats = gce_with_bins(p, cfg)[1]
         placeholder = [s for s in stats if s.class_index == 2]
         assert len(placeholder) == 1
         assert placeholder[0].count == 0
@@ -260,17 +259,14 @@ def test_edge_inputs_match_brute_force_oracle(name):
                 with pytest.raises(EmptyMeasurementError):
                     gce(p, cfg)
                 with pytest.raises(EmptyMeasurementError):
-                    binned_stats(p, cfg)
-                with pytest.raises(EmptyMeasurementError):
                     gce_with_bins(p, cfg)
                 continue
-            score = gce(p, cfg)
-            assert gce_with_bins(p, cfg) == (score, binned_stats(p, cfg))
+            score, stats = gce_with_bins(p, cfg)
+            assert score == gce(p, cfg)
             assert score.value == pytest.approx(ref, abs=1e-10), (name, b, cfg.label())
             if not cc:
                 continue
             assert sorted(score.per_class) == sorted(live)
-            stats = binned_stats(p, cfg)
             for k in range(p.n_classes):
                 pool = [s for s in stats if s.class_index == k]
                 if k in live:

@@ -104,7 +104,8 @@ class TestHistogramBinning:
         model = fit_histogram_binning(p, n_bins=10, class_conditional=True)
         assert model.class_conditional
         assert set(model.class_values) == {0, 1, 2}
-        # the pooled table stays around as the fallback for unseen classes
+        # the pooled table stays around for class indices missing from
+        # class_values, as in a hand-built model
         assert model.bin_values.shape == (10,)
 
     def test_bootstrap_deterministic_and_seed_sensitive(self):
