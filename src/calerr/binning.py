@@ -16,11 +16,24 @@ balanced.
 The engine is :func:`bin_totals`.  It takes a :class:`PooledScores`: the
 scores of a view split into pools (one, one per class, or one per column of
 a matrix) and the positions of the correct entries.  It returns per-(pool,
-bin) arrays of entry counts, score sums and correct counts.  Even binning is
-one ``bincount`` on the key ``pool * B + bin``; adaptive binning maps each
-entry's rank in the view's stable sort, made once and shared by every bin
-count, to its run.  :class:`BinStats` is the reporting form of one bin,
-built from those arrays by :func:`pool_bin_stats`.
+bin) arrays of entry counts, score sums and correct counts.  Adaptive binning
+maps each entry's rank in the view's stable sort, made once and shared by
+every bin count, to its run; its counts are the run lengths.
+:class:`BinStats` is the reporting form of one bin, built from those arrays
+by :func:`pool_bin_stats`.
+
+Even totals take one of two routes.  A view with per-entry pool labels, or
+with fewer than ``SPLIT_EVEN_MIN_LOW`` entries below the first inner edge
+1 / B, gives every entry the key ``pool * B + bin`` and takes three
+``bincount`` calls on it.  Any other, such as a full view at K = 1000, where
+a row holds at most B entries at or above 1 / B, keys only those; the rest
+lie in bin 0 (with B = 1, every entry does).  A pool's bin-0 count is then
+its size less its other bins, and its bin-0 sum adds its low entries one by
+one in input order, as ``bincount`` adds every bin: a column reduction of a
+C-ordered matrix adds row after row, and a 1-D view runs ``cumsum`` in
+chunks.  So both routes give the same totals to the last bit, where a
+pairwise sum (numpy's 1-D ``add.reduce``, even with ``where``) would move
+the last of the 17 digits the CLI prints.
 
 A stable argsort is several times slower than numpy's default one, so a
 view without per-entry pool labels whose pools hold no two equal scores
@@ -38,6 +51,13 @@ import numpy as np
 
 BIN_KINDS = ("even", "adaptive")
 DEFAULT_BINS = 15
+
+# Even totals of a view without pool labels that has at least this many
+# entries below 1 / B key only the other entries.  The two routes cross here
+# on softmax rows at K = 100 and K = 1000.
+SPLIT_EVEN_MIN_LOW = 4_000
+# Entries per cumsum in _sequential_sum, which bounds its temporary.
+_SUM_CHUNK = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,9 +108,7 @@ def even_edges(n_bins: int) -> np.ndarray:
 
 def assign_even_bins(scores: np.ndarray, n_bins: int) -> np.ndarray:
     """Bin index in [0, n_bins) for each score in [0, 1]."""
-    idx = np.searchsorted(even_edges(n_bins), scores, side="right")
-    idx -= 1
-    return np.clip(idx, 0, n_bins - 1, out=idx)
+    return np.searchsorted(even_edges(n_bins)[1:-1], scores, side="right")
 
 
 def adaptive_counts(n_scores, n_bins: int) -> np.ndarray:
@@ -160,6 +178,14 @@ def bin_totals(
     and correct counts.  Empty pools and bins hold zeros.
     """
     b = scheme.n_bins
+    split = view.pools is None and view.scores.size >= SPLIT_EVEN_MIN_LOW
+    if scheme.kind == "even" and split:
+        # Only a view this large can hold that many entries in bin 0.  C order
+        # makes the column reduction in _split_even_totals add row after row.
+        scores = np.ascontiguousarray(view.scores)
+        low = scores < even_edges(b)[1] if b > 1 else np.ones(scores.shape, dtype=bool)
+        if np.count_nonzero(low) >= SPLIT_EVEN_MIN_LOW:
+            return _split_even_totals(view, scores, low, b)
     if view.scores.ndim == 2:
         offsets = np.arange(view.n_pools) * b
     else:
@@ -178,28 +204,81 @@ def bin_totals(
     shape = (view.n_pools, b)
     size = view.n_pools * b
     return (
-        np.bincount(keys, minlength=size).reshape(shape),
+        np.bincount(keys, minlength=size).reshape(shape)
+        if scheme.kind == "even"
+        else adaptive_counts(view.sizes, b),
         np.bincount(keys, weights=view.scores.ravel(), minlength=size).reshape(shape),
         np.bincount(keys[view.hits], minlength=size).reshape(shape),
     )
 
 
-def _midpoint_edges(
-    sorted_scores: np.ndarray, sizes: np.ndarray, n_bins: int
-) -> np.ndarray:
-    """Adaptive edges of pools laid end to end in ``sorted_scores``.
+def _split_even_totals(
+    view: PooledScores, scores: np.ndarray, low: np.ndarray, b: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Even :func:`bin_totals` of ``view``, keying only the entries not ``low``.
 
-    Pool j holds ``sizes[j]`` sorted entries.  Returns ``(len(sizes),
-    n_bins + 1)`` edges: 0 and 1 outside, and between runs the midpoint of
-    their boundary scores; a boundary before the first or after the last
-    entry (runs of size zero) collapses to 0 or 1.
+    ``view`` has no pool labels, ``scores`` is its scores in C order and
+    ``low`` marks the entries that lie in bin 0; the module docstring gives
+    the rule.
     """
+    flat = scores.ravel()
+    up = np.flatnonzero(~low)
+
+    def keys(pos: np.ndarray) -> np.ndarray:
+        pools = pos % scores.shape[1] if scores.ndim == 2 else 0
+        return pools * b + assign_even_bins(flat[pos], b)
+
+    shape = (view.n_pools, b)
+    size = view.n_pools * b
+    up_keys = keys(up)
+    counts = np.bincount(up_keys, minlength=size).reshape(shape)
+    conf_sums = np.bincount(up_keys, weights=flat[up], minlength=size)
+    # bincount gives integers when no entry is up (always, with one bin).
+    conf_sums = conf_sums.astype(float, copy=False).reshape(shape)
+    counts[:, 0] = view.sizes - counts.sum(axis=1)
+    if scores.ndim == 2:
+        conf_sums[:, 0] = np.add.reduce(scores, axis=0, where=low, initial=0.0)
+    else:
+        conf_sums[0, 0] = _sequential_sum(flat, low)
+    return counts, conf_sums, np.bincount(keys(view.hits), minlength=size).reshape(shape)
+
+
+def _sequential_sum(values: np.ndarray, mask: np.ndarray) -> float:
+    """Sum of ``values[mask]`` added one by one in input order, from 0.0.
+
+    ``cumsum`` adds in order; it runs chunk by chunk, each chunk's first
+    entry carrying the running total.
+    """
+    total = 0.0
+    for start in range(0, values.size, _SUM_CHUNK):
+        part = values[start:start + _SUM_CHUNK][mask[start:start + _SUM_CHUNK]]
+        if part.size:
+            part[0] += total
+            total = np.cumsum(part, out=part)[-1]
+    return total
+
+
+def _midpoint_edges(view: PooledScores, n_bins: int) -> np.ndarray:
+    """Adaptive edges of each pool of ``view``, read through its ``order``.
+
+    Returns ``(view.n_pools, n_bins + 1)`` edges: 0 and 1 outside, and
+    between runs the midpoint of their boundary scores; a boundary before the
+    first or after the last entry (runs of size zero) collapses to 0 or 1.
+    Only the boundary entries are gathered, not the whole sorted view.
+    """
+    sizes = view.sizes
     ends = np.cumsum(adaptive_counts(sizes, n_bins), axis=-1)[:, :-1]
     inside = (ends > 0) & (ends < sizes[:, None])
-    at = np.where(inside, (np.cumsum(sizes) - sizes)[:, None] + ends, 0)
-    mid = 0.5 * (sorted_scores[at - 1] + sorted_scores[at])
+    if view.scores.ndim == 2:  # sorted entry r of column j: scores[order[r, j], j]
+        at = np.where(inside, ends, 0)
+        cols = np.arange(view.n_pools)[:, None]
+        lo = view.scores[view.order[at - 1, cols], cols]
+        hi = view.scores[view.order[at, cols], cols]
+    else:  # the pools lie end to end in the order
+        at = np.where(inside, (np.cumsum(sizes) - sizes)[:, None] + ends, 0)
+        lo, hi = view.scores[view.order[at - 1]], view.scores[view.order[at]]
     edges = np.zeros((len(sizes), n_bins + 1))
-    edges[:, 1:-1] = np.where(inside, mid, ends > 0)
+    edges[:, 1:-1] = np.where(inside, 0.5 * (lo + hi), ends > 0)
     edges[:, -1] = 1.0
     return edges
 
@@ -220,8 +299,7 @@ def pool_bin_stats(
     if scheme.kind == "even":
         edges = np.broadcast_to(even_edges(b), (view.n_pools, b + 1))
     else:
-        ordered = np.take_along_axis(view.scores, view.order, axis=0)
-        edges = _midpoint_edges(ordered.T.ravel(), view.sizes, b)
+        edges = _midpoint_edges(view, b)
     occupied = np.maximum(counts, 1)
     columns = zip(
         edges[:, :-1].tolist(), edges[:, 1:].tolist(), counts.tolist(),

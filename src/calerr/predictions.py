@@ -24,6 +24,8 @@ import numpy as np
 
 # Tolerance for each probability row summing to 1.
 PROB_SUM_TOL = 1e-6
+# Entries per block of rows in max_prob_view's argmax.
+_ARGMAX_BLOCK = 1 << 16
 
 
 class ValidationError(ValueError):
@@ -199,7 +201,12 @@ def max_prob_view(p: PredictionSet) -> ScoredPredictions:
     Argmax ties resolve to the lowest class index.
     """
     n = p.n_points
-    cls = np.argmax(p.probs, axis=1)  # np.argmax takes the first maximum
+    # np.argmax takes the first maximum, but copies a read-only array before
+    # it starts: blocks of rows keep that copy small enough to stay in cache.
+    step = max(1, _ARGMAX_BLOCK // p.n_classes)
+    cls = np.concatenate(
+        [np.argmax(p.probs[i:i + step], axis=1) for i in range(0, n, step)]
+    )
     scores = p.probs[np.arange(n), cls]
     return ScoredPredictions(scores, cls, cls == p.labels)
 
@@ -213,11 +220,14 @@ def full_prob_view(p: PredictionSet, threshold: float = 0.0) -> ScoredPrediction
     """
     if not 0.0 <= threshold < 1.0:
         raise ValidationError(f"threshold must lie in [0, 1), got {threshold}")
-    k = p.n_classes
+    n, k = p.probs.shape
     scores = p.probs.ravel()
-    pos = np.flatnonzero(scores > threshold) if threshold > 0.0 else np.arange(scores.size)
-    class_index = pos % k
-    return ScoredPredictions(scores[pos], class_index, class_index == p.labels[pos // k])
+    hit = np.zeros(scores.size, dtype=bool)
+    hit[np.arange(n) * k + p.labels] = True
+    if threshold == 0.0:
+        return ScoredPredictions(scores, np.tile(np.arange(k), n), hit)
+    pos = np.flatnonzero(scores > threshold)
+    return ScoredPredictions(scores[pos], pos % k, hit[pos])
 
 
 def split_validation(

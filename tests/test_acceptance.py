@@ -134,6 +134,7 @@ class TestVariantEnumeration:
             assert named_metric(name).label() == EXPECTED_LABELS[idx]
 
 
+@pytest.mark.slow
 class TestOracleEquivalence:
     def test_1000_random_sets_match_brute_force(self):
         rng = np.random.default_rng(20260814)
@@ -161,6 +162,7 @@ class TestOracleEquivalence:
         assert elapsed < 30.0
 
 
+@pytest.mark.slow
 class TestIsotonicAgainstExhaustiveSearch:
     def test_every_grid_instance_up_to_length_six(self):
         grid = np.round(np.arange(11) / 10.0, 10)
@@ -273,6 +275,7 @@ class TestTemperatureRecovery:
             assert d > 0.05
 
 
+@pytest.mark.slow
 class TestBinSensitivityDirection:
     def test_adaptive_rankings_are_more_stable_across_bin_counts(self):
         t0 = time.monotonic()
@@ -331,6 +334,7 @@ class TestClassConditionalityGap:
             assert ece < ccece
 
 
+@pytest.mark.slow
 class TestLabelNoiseMonotonicity:
     def test_omitted_fraction_rises_with_noise(self):
         t0 = time.monotonic()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from calerr import (
     BinStats,
     PredictionSet,
     all_configs,
+    gce,
     gce_many,
     row_softmax,
 )
+from calerr import binning
 from calerr.binning import (
     PooledScores,
     adaptive_counts,
@@ -32,6 +35,34 @@ def bins_of(scores, correct, scheme):
     """The bins of one pool of ``scores``; ``correct`` marks the hits."""
     view = PooledScores(np.asarray(scores, dtype=float), np.flatnonzero(correct), None, 1)
     return pool_bin_stats(view, scheme, bin_totals(view, scheme))[0]
+
+
+def reference_even_bins(scores, n_bins):
+    """The even bin of each score: last edge at or below it, within [0, B)."""
+    idx = np.searchsorted(even_edges(n_bins), scores, side="right") - 1
+    return np.clip(idx, 0, n_bins - 1)
+
+
+def reference_even_totals(view, n_bins):
+    """Even ``bin_totals`` by definition: one key per entry, three bincounts."""
+    scores = view.scores
+    if scores.ndim == 2:
+        pools = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
+    else:
+        pools = np.zeros(scores.shape, int) if view.pools is None else view.pools
+    keys = (pools * n_bins + reference_even_bins(scores, n_bins)).ravel()
+    size, shape = view.n_pools * n_bins, (view.n_pools, n_bins)
+    return (
+        np.bincount(keys, minlength=size).reshape(shape),
+        np.bincount(keys, weights=scores.ravel(), minlength=size).reshape(shape),
+        np.bincount(keys[view.hits], minlength=size).reshape(shape),
+    )
+
+
+def assert_same_totals(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 def adaptive_edges(scores, n_bins):
@@ -78,6 +109,18 @@ class TestEvenEdges:
         assert assign_even_bins(np.array([0.1]), 10)[0] == 1
         assert assign_even_bins(np.array([0.999]), 10)[0] == 9
         assert assign_even_bins(np.array([1.0]), 10)[0] == 9
+
+    @pytest.mark.parametrize("n_bins", [1, 2, 10, 15, 30, 150])
+    def test_assignment_of_any_float(self, n_bins):
+        # Edges, 1.0, both zeros, values outside [0, 1], infinities and NaN
+        # take the bin of the search over all edges, shifted and clipped.
+        scores = np.concatenate([
+            even_edges(n_bins), np.nextafter(even_edges(n_bins), 2.0),
+            [-0.0, -1e-300, -0.5, 1.5, np.inf, -np.inf, np.nan],
+        ])
+        np.testing.assert_array_equal(
+            assign_even_bins(scores, n_bins), reference_even_bins(scores, n_bins)
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -222,6 +265,26 @@ class TestPooledOrder:
         order = PooledScores(flat, hits, pools, k).order
         np.testing.assert_array_equal(order, np.lexsort((flat, pools)))
 
+    @pytest.mark.parametrize("name", sorted(ORDER_INPUTS))
+    @pytest.mark.parametrize("n_bins", [1, 3, 7])
+    def test_adaptive_bins_of_pools_are_those_of_each_pool(self, name, n_bins):
+        # The columns of a matrix, and the labelled pools of a flat view,
+        # bin as each pool binned on its own: edges gathered through the
+        # shared order, signed zeros included.
+        matrix = ORDER_INPUTS[name]
+        n, k = matrix.shape
+        flat = matrix.ravel()
+        hits = np.flatnonzero(np.random.default_rng(5).random(flat.size) < 0.3)
+        correct = np.isin(np.arange(flat.size), hits).reshape(n, k)
+        scheme = BinScheme("adaptive", n_bins)
+        pools = np.tile(np.arange(k), n)
+        for view in (PooledScores(matrix, hits, None, k), PooledScores(flat, hits, pools, k)):
+            stats = pool_bin_stats(view, scheme, bin_totals(view, scheme))
+            for j in range(k):
+                want = bins_of(matrix[:, j], correct[:, j], scheme)
+                assert [repr(dataclasses.replace(st_, class_index=None)) for st_ in stats[j]] \
+                    == [repr(st_) for st_ in want]
+
     def test_nan_scores_bin_in_stable_order(self):
         rng = np.random.default_rng(11)
         scores = rng.random(200)
@@ -247,3 +310,104 @@ class TestPooledOrder:
                 p.probs, p.labels, binning, mp, cc, thr, norm, n_bins
             )
             assert score.value == pytest.approx(ref, abs=1e-10), score.config
+
+
+def _edge_matrix(n, k, n_bins, seed):
+    """Softmax rows with entries set to i / B, 1.0, 0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    probs = row_softmax(3.0 * rng.standard_normal((n, k)))
+    u = rng.random((n, k))
+    probs[u < 0.05] = rng.integers(0, n_bins + 1, (n, k))[u < 0.05] / n_bins
+    probs[(u >= 0.05) & (u < 0.07)] = 1.0
+    probs[(u >= 0.07) & (u < 0.09)] = 0.0
+    probs[(u >= 0.09) & (u < 0.11)] = -0.0
+    return probs, rng.integers(0, k, n)
+
+
+def _views(probs, labels):
+    """1-D single-pool, 1-D pool-label and 2-D column views of one matrix."""
+    n, k = probs.shape
+    flat = probs.ravel()
+    hits = np.arange(n) * k + labels
+    # a pool-labelled subset, as a thresholded class-conditional view is
+    keep = np.flatnonzero(np.random.default_rng(n * k).random(flat.size) < 0.7)
+    hit = np.zeros(flat.size, dtype=bool)
+    hit[hits] = True
+    return {
+        "single-pool": PooledScores(flat, hits, None, 1),
+        "pool-label": PooledScores(flat[keep], np.flatnonzero(hit[keep]), keep % k, k),
+        "columns": PooledScores(probs, hits, None, k),
+        "columns-F": PooledScores(np.asfortranarray(probs), hits, None, k),
+    }
+
+
+SHAPES = {2: 1500, 10: 400, 1000: 8}
+
+
+class TestEvenTotals:
+    """Even totals are those of one key per entry, to the last bit."""
+
+    @pytest.mark.parametrize("side", ["split", "keyed"])
+    @pytest.mark.parametrize("k", sorted(SHAPES))
+    @pytest.mark.parametrize("n_bins", [1, 2, 15, 30, 150])
+    def test_both_sides_of_the_split_size(self, monkeypatch, side, k, n_bins):
+        probs, labels = _edge_matrix(SHAPES[k], k, n_bins, seed=k + n_bins)
+        # 0 sends every view without pool labels down the split path, a size
+        # above any view none; the pool-labelled view is keyed either way.
+        split_min = 0 if side == "split" else probs.size + 1
+        monkeypatch.setattr(binning, "SPLIT_EVEN_MIN_LOW", split_min)
+        for name, view in _views(probs, labels).items():
+            got = bin_totals(view, BinScheme("even", n_bins))
+            assert_same_totals(got, reference_even_totals(view, n_bins))
+
+    @pytest.mark.parametrize("n_bins", [1, 15])
+    def test_split_at_its_own_size(self, n_bins):
+        # At K = 1000 every view here holds far more than SPLIT_EVEN_MIN_LOW
+        # entries in bin 0, so all but the pool-labelled one take the split.
+        probs, labels = _edge_matrix(50, 1000, n_bins, seed=3)
+        assert (probs < 1 / n_bins).sum() > binning.SPLIT_EVEN_MIN_LOW
+        for view in _views(probs, labels).values():
+            assert_same_totals(
+                bin_totals(view, BinScheme("even", n_bins)),
+                reference_even_totals(view, n_bins),
+            )
+
+    def test_one_bin_counts_ones_in_order(self):
+        # With one bin there is no inner edge: an entry of 1.0 is in bin 0
+        # like every other, and its sum must be added in input order.
+        rng = np.random.default_rng(20)
+        probs = row_softmax(np.where(rng.random((20_000, 10)) < 0.3, 1e4, 1.0)
+                            * rng.standard_normal((20_000, 10)))
+        assert (probs == 1.0).any()
+        labels = rng.integers(0, 10, 20_000)
+        hits = np.arange(20_000) * 10 + labels
+        for view in (PooledScores(probs.ravel(), hits, None, 1),
+                     PooledScores(probs, hits, None, 10)):
+            assert_same_totals(
+                bin_totals(view, BinScheme("even", 1)), reference_even_totals(view, 1)
+            )
+
+    def test_flat_bin0_sum_is_sequential(self):
+        # A pairwise sum of bin 0 moves its last bits at this size, where
+        # numpy's 1-D add.reduce blocks its sum even with where=.
+        rng = np.random.default_rng(2000)
+        probs = row_softmax(3.0 * rng.standard_normal((2000, 1000)))
+        view = PooledScores(probs.ravel(), np.arange(2000) * 1000, None, 1)
+        got = bin_totals(view, BinScheme("even", 15))
+        assert_same_totals(got, reference_even_totals(view, 15))
+
+    @pytest.mark.parametrize("index", [8, 9, 12, 13])
+    def test_full_view_peak_memory_stays_under_half_the_input(self, index):
+        # Even unthresholded full views at K = 1000 build no key per entry.
+        rng = np.random.default_rng(13)
+        p = PredictionSet(row_softmax(3.0 * rng.standard_normal((500, 1000))),
+                          rng.integers(0, 1000, 500))
+        cfg = all_configs()[index]
+        assert cfg.binning.kind == "even" and not cfg.max_probs and cfg.threshold == 0.0
+        tracemalloc.start()
+        try:
+            gce(p, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * p.probs.nbytes

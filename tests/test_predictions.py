@@ -180,6 +180,22 @@ class TestMaxProbView:
         assert view.class_index[0] == 0
         assert not view.correct[0]
 
+    @pytest.mark.parametrize("k", [2, 1000])
+    def test_rows_over_many_argmax_blocks(self, k):
+        # At K = 1000, 1,000 rows span many of the argmax's row blocks; at
+        # K = 2 they fit in one.  Tied rows still take their lowest class.
+        rng = np.random.default_rng(9)
+        n = 1000
+        z = rng.standard_normal((n, k))
+        z[::7, :2] = z[::7].max(axis=1, keepdims=True) + 1.0
+        p = PredictionSet(row_softmax(z), rng.integers(0, k, n))
+        cls = np.argmax(p.probs.copy(), axis=1)
+        view = max_prob_view(p)
+        assert np.array_equal(view.class_index, cls)
+        assert (view.class_index[::7] == 0).all()
+        assert view.scores.tobytes() == p.probs[np.arange(n), cls].tobytes()
+        assert np.array_equal(view.correct, cls == p.labels)
+
 
 class TestFullProbView:
     def test_zero_threshold_keeps_everything(self, tiny_preds):
@@ -223,6 +239,24 @@ class TestFullProbView:
         for attr in ("scores", "class_index", "correct"):
             assert getattr(got, attr).dtype == getattr(want, attr).dtype
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+    @pytest.mark.parametrize("k", [2, 5, 1000])
+    @pytest.mark.parametrize("threshold", [0.0, 0.01, 0.3])
+    def test_view_matches_filtered_full_view(self, k, threshold):
+        # The records of the full N * K view that pass the threshold, in
+        # order and to the last bit; threshold 0 keeps them all.
+        rng = np.random.default_rng(4)
+        n = 200
+        p = PredictionSet(rng.dirichlet(np.full(k, 10 / k), size=n), rng.integers(0, k, n))
+        class_index = np.tile(np.arange(k), n)
+        full = ScoredPredictions(p.probs.ravel(), class_index,
+                                 class_index == np.repeat(p.labels, k))
+        want = full.filter(full.scores > threshold) if threshold > 0.0 else full
+        got = full_prob_view(p, threshold)
+        assert 0 < len(got) <= n * k
+        for attr in ("scores", "class_index", "correct"):
+            assert getattr(got, attr).dtype == getattr(want, attr).dtype
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
 
 
 class TestScoredPredictions:
