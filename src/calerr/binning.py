@@ -15,25 +15,41 @@ balanced.
 
 The engine is :func:`bin_totals`.  It takes a :class:`PooledScores`: the
 scores of a view split into pools (one, one per class, or one per column of
-a matrix) and the positions of the correct entries.  It returns per-(pool,
-bin) arrays of entry counts, score sums and correct counts.  Adaptive binning
-maps each entry's rank in the view's stable sort, made once and shared by
-every bin count, to its run; its counts are the run lengths.
-:class:`BinStats` is the reporting form of one bin, built from those arrays
-by :func:`pool_bin_stats`.
+a matrix) and the positions of the correct entries.  It takes one bin kind
+and a whole grid of bin counts, and returns per-(bin count, pool, bin)
+arrays of entry counts, score sums and correct counts, each bin count's
+bins padded with zeros up to the largest.  Adaptive binning maps each
+entry's rank in the view's stable sort, made once and shared by every bin
+count, to its run; its counts are the run lengths.  :class:`BinStats` is
+the reporting form of one bin, built from one bin count's arrays by
+:func:`pool_bin_stats`.
+
+Totals are formed per (view, kind) over the whole grid.  Under bin count j
+an entry takes the key ``(j * n_pools + pool) * max(bins) + bin``, and the
+keys of all bin counts are stacked, so one ``bincount`` of counts, one of
+score sums and one of hits serve the grid.  Each bin still adds its own
+entries in input order, so every total has the bits of a call with that
+bin count alone.  Even bins of the whole grid come from one search over the
+union of the grid's inner edges and a table of how many of each bin count's
+edges lie at or below each of them.  The stacked keys number the bin counts
+times the entries; bin counts are stacked only while that stays within
+``STACK_ENTRIES``, so a large view keys them one at a time and no N·K array
+is ever multiplied by the grid.  The padding costs nothing in the scores:
+a padded bin is empty, and its term of a pool's error is +0.0, which leaves
+a left-to-right sum of non-negative terms unchanged.
 
 Even totals take one of two routes.  A view with per-entry pool labels, or
 with fewer than ``SPLIT_EVEN_MIN_LOW`` entries below the first inner edge
-1 / B, gives every entry the key ``pool * B + bin`` and takes three
-``bincount`` calls on it.  Any other, such as a full view at K = 1000, where
-a row holds at most B entries at or above 1 / B, keys only those; the rest
-lie in bin 0 (with B = 1, every entry does).  A pool's bin-0 count is then
-its size less its other bins, and its bin-0 sum adds its low entries one by
-one in input order, as ``bincount`` adds every bin: a column reduction of a
-C-ordered matrix adds row after row, and a 1-D view runs ``cumsum`` in
-chunks.  So both routes give the same totals to the last bit, where a
-pairwise sum (numpy's 1-D ``add.reduce``, even with ``where``) would move
-the last of the 17 digits the CLI prints.
+1 / B, keys every entry as above.  Any other, such as a full view at
+K = 1000, where a row holds at most B entries at or above 1 / B, runs its
+bin counts one at a time and keys only those entries; the rest lie in bin 0
+(with B = 1, every entry does).  A pool's bin-0 count is then its size less
+its other bins, and its bin-0 sum adds its low entries one by one in input
+order, as ``bincount`` adds every bin: a column reduction of a C-ordered
+matrix adds row after row, and a 1-D view runs ``cumsum`` in chunks.  So
+both routes give the same totals to the last bit, where a pairwise sum
+(numpy's 1-D ``add.reduce``, even with ``where``) would move the last of the
+17 digits the CLI prints.
 
 A stable argsort is several times slower than numpy's default one, so a
 view without per-entry pool labels whose pools hold no two equal scores
@@ -56,6 +72,9 @@ DEFAULT_BINS = 15
 # entries below 1 / B key only the other entries.  The two routes cross here
 # on softmax rows at K = 100 and K = 1000.
 SPLIT_EVEN_MIN_LOW = 4_000
+# bin_totals keys at most this many entries at once, over all the bin counts
+# it stacks; a larger view keys its bin counts one at a time.
+STACK_ENTRIES = 1 << 16
 # Entries per cumsum in _sequential_sum, which bounds its temporary.
 _SUM_CHUNK = 1 << 16
 
@@ -163,83 +182,143 @@ class PooledScores:
         return np.bincount(self.pools, minlength=self.n_pools)
 
 
-def _sorted_runs(sizes: np.ndarray, n_bins: int) -> np.ndarray:
-    """Adaptive run of each sorted position, for pools of ``sizes`` end to end."""
-    runs = np.tile(np.arange(n_bins), len(sizes))
-    return np.repeat(runs, adaptive_counts(sizes, n_bins).ravel())
-
-
 def bin_totals(
-    view: PooledScores, scheme: BinScheme
+    view: PooledScores, kind: str, bins: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-(pool, bin) entry counts, score sums and correct counts.
+    """Per-(bin count, pool, bin) entry counts, score sums and correct counts.
 
-    Returns three ``(view.n_pools, n_bins)`` arrays: counts, confidence sums
-    and correct counts.  Empty pools and bins hold zeros.
+    Returns three ``(len(bins), view.n_pools, max(bins))`` arrays: counts,
+    confidence sums and correct counts under ``kind`` binning, slice j for
+    ``bins[j]`` bins.  Bins past a slice's bin count, empty pools and empty
+    bins hold zeros.
     """
-    b = scheme.n_bins
-    split = view.pools is None and view.scores.size >= SPLIT_EVEN_MIN_LOW
-    if scheme.kind == "even" and split:
+    top = max(bins)
+    if kind == "even" and view.pools is None and view.scores.size >= SPLIT_EVEN_MIN_LOW:
         # Only a view this large can hold that many entries in bin 0.  C order
         # makes the column reduction in _split_even_totals add row after row.
         scores = np.ascontiguousarray(view.scores)
-        low = scores < even_edges(b)[1] if b > 1 else np.ones(scores.shape, dtype=bool)
-        if np.count_nonzero(low) >= SPLIT_EVEN_MIN_LOW:
-            return _split_even_totals(view, scores, low, b)
-    if view.scores.ndim == 2:
-        offsets = np.arange(view.n_pools) * b
+        grids = [_split_even_totals(view, scores, b, top) for b in bins]
     else:
-        offsets = 0 if view.pools is None else view.pools * b
-    if scheme.kind == "even":
-        keys = assign_even_bins(view.scores, b)
-    else:
-        keys = np.empty_like(view.order)
-        if view.scores.ndim == 2:  # every column holds the same runs
-            runs = _sorted_runs(view.sizes[:1], b)[:, None]
-            np.put_along_axis(keys, view.order, runs, axis=0)
-        else:
-            keys[view.order] = _sorted_runs(view.sizes, b)
-    keys += offsets
-    keys = keys.ravel()
-    shape = (view.n_pools, b)
-    size = view.n_pools * b
+        step = max(1, STACK_ENTRIES // max(view.scores.size, 1))
+        grids = [_keyed_totals(view, kind, bins[i:i + step], top)
+                 for i in range(0, len(bins), step)]
+    if len(grids) == 1:
+        return grids[0]
+    return tuple(np.concatenate(totals) for totals in zip(*grids))
+
+
+def _keyed_totals(
+    view: PooledScores, kind: str, bins: tuple[int, ...], top: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`bin_totals` of ``bins`` from one key per entry and bin count.
+
+    Entry i under ``bins[j]`` takes the key ``(j * n_pools + pool) * top +
+    bin``, so three ``bincount`` calls on the stacked keys give every total.
+    """
+    shape = (len(bins), view.n_pools, top)
+    size = len(bins) * view.n_pools * top
+    counts = _padded_counts(view.sizes, bins, top) if kind == "adaptive" else None
+    keys = _stacked_keys(view, kind, bins, top, counts)
+    weights = view.scores.ravel()
+    if len(bins) > 1:
+        weights = np.tile(weights, len(bins))
+    if counts is None:
+        counts = np.bincount(keys.ravel(), minlength=size).reshape(shape)
     return (
-        np.bincount(keys, minlength=size).reshape(shape)
-        if scheme.kind == "even"
-        else adaptive_counts(view.sizes, b),
-        np.bincount(keys, weights=view.scores.ravel(), minlength=size).reshape(shape),
-        np.bincount(keys[view.hits], minlength=size).reshape(shape),
+        counts,
+        np.bincount(keys.ravel(), weights=weights, minlength=size).reshape(shape),
+        np.bincount(keys[:, view.hits].ravel(), minlength=size).reshape(shape),
     )
 
 
-def _split_even_totals(
-    view: PooledScores, scores: np.ndarray, low: np.ndarray, b: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Even :func:`bin_totals` of ``view``, keying only the entries not ``low``.
+def _padded_counts(sizes: np.ndarray, bins: tuple[int, ...], top: int) -> np.ndarray:
+    """:func:`adaptive_counts` of pools of ``sizes`` per bin count, zero-padded to ``top``."""
+    counts = np.zeros((len(bins), len(sizes), top), dtype=np.intp)
+    for row, b in zip(counts, bins):
+        row[:, :b] = adaptive_counts(sizes, b)
+    return counts
 
-    ``view`` has no pool labels, ``scores`` is its scores in C order and
-    ``low`` marks the entries that lie in bin 0; the module docstring gives
-    the rule.
+
+def _stacked_keys(
+    view: PooledScores, kind: str, bins: tuple[int, ...], top: int,
+    counts: np.ndarray | None,
+) -> np.ndarray:
+    """The keys of :func:`_keyed_totals`, one row per bin count.
+
+    ``counts`` holds the padded adaptive counts, whose runs the sorted
+    entries take; the runs are freed on return, before any ``bincount``.
     """
+    m, n_pools = len(bins), view.n_pools
+    if kind == "even":
+        keys = _even_bins(view.scores, bins)
+    elif view.scores.ndim == 2:  # every column holds the same runs
+        order = view.order  # sorted before the keys exist, which bounds the peak
+        runs = np.repeat(np.tile(np.arange(top), m), counts[:, 0].ravel())
+        keys = np.empty((m,) + view.scores.shape, dtype=np.intp)
+        np.put_along_axis(keys, order[None], runs.reshape(m, -1, 1), axis=1)
+    else:  # the pools lie end to end in the order
+        order = view.order
+        runs = np.repeat(np.tile(np.arange(top), m * n_pools), counts.ravel())
+        keys = np.empty((m, view.scores.size), dtype=np.intp)
+        for row, row_runs in zip(keys, runs.reshape(m, -1)):
+            row[order] = row_runs
+    if view.scores.ndim == 2:
+        pools = np.arange(n_pools)
+    else:
+        pools = 0 if view.pools is None else view.pools
+    j = np.arange(m).reshape((m,) + (1,) * view.scores.ndim) if m > 1 else 0
+    keys += (j * n_pools + pools) * top
+    return keys.reshape(m, -1)
+
+
+def _even_bins(scores: np.ndarray, bins: tuple[int, ...]) -> np.ndarray:
+    """:func:`assign_even_bins` of ``scores`` under each of ``bins``, stacked.
+
+    One search over all the bin counts' inner edges tells how many of them
+    lie at or below each score.  A table turns that into each bin count's
+    bin: the number of its own inner edges at or below the score.
+    """
+    if len(bins) == 1:
+        return assign_even_bins(scores, bins[0])[None]
+    inner = [even_edges(b)[1:-1] for b in bins]
+    edges = np.sort(np.concatenate(inner))
+    table = np.zeros((len(bins), edges.size + 1), dtype=np.intp)
+    for row, own in zip(table, inner):
+        row[1:] = np.searchsorted(own, edges, side="right")
+    return np.take(table, np.searchsorted(edges, scores, side="right"), axis=1)
+
+
+def _split_even_totals(
+    view: PooledScores, scores: np.ndarray, b: int, top: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Even :func:`bin_totals` of ``view`` at ``b`` bins, padded to ``top``.
+
+    ``view`` has no pool labels and ``scores`` is its scores in C order.
+    With at least ``SPLIT_EVEN_MIN_LOW`` entries below 1 / b only the other
+    entries are keyed; the module docstring gives the rule.
+    """
+    low = scores < even_edges(b)[1] if b > 1 else np.ones(scores.shape, dtype=bool)
+    if np.count_nonzero(low) < SPLIT_EVEN_MIN_LOW:
+        return _keyed_totals(view, "even", (b,), top)
     flat = scores.ravel()
     up = np.flatnonzero(~low)
 
     def keys(pos: np.ndarray) -> np.ndarray:
         pools = pos % scores.shape[1] if scores.ndim == 2 else 0
-        return pools * b + assign_even_bins(flat[pos], b)
+        return pools * top + assign_even_bins(flat[pos], b)
 
-    shape = (view.n_pools, b)
-    size = view.n_pools * b
+    shape = (1, view.n_pools, top)
+    size = view.n_pools * top
     up_keys = keys(up)
     counts = np.bincount(up_keys, minlength=size).reshape(shape)
     conf_sums = np.bincount(up_keys, weights=flat[up], minlength=size)
     # bincount gives integers when no entry is up (always, with one bin).
     conf_sums = conf_sums.astype(float, copy=False).reshape(shape)
-    counts[:, 0] = view.sizes - counts.sum(axis=1)
+    counts[0, :, 0] = view.sizes - counts[0].sum(axis=1)
     if scores.ndim == 2:
-        conf_sums[:, 0] = np.add.reduce(scores, axis=0, where=low, initial=0.0)
+        conf_sums[0, :, 0] = np.add.reduce(scores, axis=0, where=low, initial=0.0)
     else:
-        conf_sums[0, 0] = _sequential_sum(flat, low)
+        conf_sums[0, 0, 0] = _sequential_sum(flat, low)
     return counts, conf_sums, np.bincount(keys(view.hits), minlength=size).reshape(shape)
 
 

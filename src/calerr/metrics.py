@@ -36,13 +36,18 @@ Variants are indexed 0..31 by nesting the axes with binning outermost and
 norm innermost; see :func:`metric_index`.
 
 Scoring runs on arrays.  :func:`gce_many` scores a list of configs in one
-pass: each distinct score view is split into pools (a
-:class:`calerr.binning.PooledScores`, sorted at most once) and reduced by
-:func:`calerr.binning.bin_totals` to per-(pool, bin) counts, confidence
-sums and correct counts, shared across norms.  Pool errors and the class
-mean are array operations on those totals, over the classes that hold
-entries; :func:`gce` is the one-config case, and :func:`gce_with_bins`
-returns the score with the totals formatted as :class:`BinStats`.
+pass.  It groups the configs by score view and then by bin kind.  Each
+distinct view is split into pools once (a
+:class:`calerr.binning.PooledScores`, sorted at most once) and dropped once
+its configs are scored.  One :func:`calerr.binning.bin_totals` call per
+(view, kind) reduces it to per-(bin count, pool, bin) counts, confidence
+sums and correct counts for every bin count its configs ask for, shared
+across norms.  Pool errors and class means are then array operations over
+that whole grid, one per norm, over the classes that hold entries.  Both
+sums run left to right (``cumsum``), so each score has the bits of a
+pool-by-pool Python sum.  :func:`gce` is the one-config case, and
+:func:`gce_with_bins` returns the score with the totals formatted as
+:class:`BinStats`; both run the same path.
 """
 
 from __future__ import annotations
@@ -213,28 +218,15 @@ def gce_with_bins(
     empties contributes one zero-count placeholder bin spanning [0, 1].
     """
     view = _pooled_view(p, cfg)
-    totals = bin_totals(view, cfg.binning)
+    bins = (cfg.binning.n_bins,)
+    totals = bin_totals(view, cfg.binning.kind, bins)
     out: list[BinStats] = []
-    for k, pool in enumerate(pool_bin_stats(view, cfg.binning, totals)):
+    for k, pool in enumerate(pool_bin_stats(view, cfg.binning, [t[0] for t in totals])):
         if cfg.class_conditional and not any(st.count for st in pool):
             out.append(BinStats(0.0, 1.0, 0, 0.0, 0.0, class_index=k))
         else:
             out.extend(pool)
-    return _score(cfg, totals), out
-
-
-def _pool_errors(
-    counts: np.ndarray, conf_sums: np.ndarray, correct_sums: np.ndarray, norm: str
-) -> np.ndarray:
-    """Binned error of each pool (row) of per-(pool, bin) totals; 0 if empty."""
-    occupied = np.maximum(counts, 1)
-    gaps = correct_sums / occupied - conf_sums / occupied
-    weights = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
-    terms = weights * (np.abs(gaps) if norm == "l1" else gaps * gaps)
-    # cumsum adds the bins strictly left to right, like a Python loop would;
-    # a plain sum's pairwise blocking would move the last digit.
-    errors = np.cumsum(terms, axis=1)[:, -1]
-    return errors if norm == "l1" else np.sqrt(errors)
+    return _grid_scores(view, [cfg], bins, totals)[0], out
 
 
 def gce(p: PredictionSet, cfg: MetricConfig) -> CalibrationScore:
@@ -259,36 +251,89 @@ def gce_many(
     """:func:`gce` of each config, in order, scored in one pass.
 
     Configs that agree on max_probs, class_conditional and the threshold (a
-    max-prob view ignores it) share one score view and its sort; l1 and l2
-    share bin totals.  Each score equals ``gce(p, cfg)`` bit for bit.
+    max-prob view ignores it) share one score view and its sort; views are
+    built in the order of their first configs, and each is dropped once its
+    configs are scored.  All bin counts of one kind share one
+    :func:`calerr.binning.bin_totals` call, and l1 and l2 its totals.  Each
+    score equals ``gce(p, cfg)`` bit for bit.
     """
-    views, totals, out = {}, {}, []
-    for cfg in configs:
+    groups: dict[tuple, dict[str, list[int]]] = {}
+    for i, cfg in enumerate(configs):
         key = (cfg.max_probs, cfg.class_conditional, 0.0 if cfg.max_probs else cfg.threshold)
-        if key not in views:
-            views[key] = _pooled_view(p, cfg)
-        if (key, cfg.binning) not in totals:
-            totals[key, cfg.binning] = bin_totals(views[key], cfg.binning)
-        out.append(_score(cfg, totals[key, cfg.binning]))
+        groups.setdefault(key, {}).setdefault(cfg.binning.kind, []).append(i)
+    out: list[CalibrationScore] = [None] * len(configs)
+    for kinds in groups.values():
+        _score_view(p, configs, kinds, out)
     return out
 
 
-def _score(
-    cfg: MetricConfig, totals: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> CalibrationScore:
-    """The config's score from its view's per-(pool, bin) totals."""
-    if not cfg.class_conditional:
-        return CalibrationScore(float(_pool_errors(*totals, cfg.norm)[0]), cfg)
-    counts = totals[0]
-    live = np.flatnonzero(counts.any(axis=1))  # empty classes leave the mean
-    # With every class live (the usual case at small K) the rows are used as
-    # they are: indexing them would cost more than it saves.
-    if len(live) < len(counts):
-        totals = tuple(t[live] for t in totals)
-    errors = _pool_errors(*totals, cfg.norm)
-    per_class = dict(zip(live.tolist(), errors.tolist()))
-    value = sum(per_class.values()) / len(per_class)
-    return CalibrationScore(value=value, config=cfg, per_class=per_class)
+def _score_view(
+    p: PredictionSet,
+    configs: Sequence[MetricConfig],
+    kinds: dict[str, list[int]],
+    out: list[CalibrationScore],
+) -> None:
+    """Score ``configs[i]`` into ``out[i]`` for each listed i, all of one view.
+
+    ``kinds`` maps a bin kind to the positions of its configs; any of them
+    builds the view.  The view, and the sort it caches, are freed when this
+    returns.
+    """
+    view = _pooled_view(p, configs[next(iter(kinds.values()))[0]])
+    for kind, positions in kinds.items():
+        group = [configs[i] for i in positions]
+        bins = tuple(dict.fromkeys(cfg.binning.n_bins for cfg in group))
+        scores = _grid_scores(view, group, bins, bin_totals(view, kind, bins))
+        for i, score in zip(positions, scores):
+            out[i] = score
+
+
+def _grid_scores(
+    view: PooledScores,
+    configs: Sequence[MetricConfig],
+    bins: tuple[int, ...],
+    totals: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> list[CalibrationScore]:
+    """Each config's score from its view's :func:`calerr.binning.bin_totals`.
+
+    ``totals`` covers the bin counts ``bins`` of the configs' one bin kind.
+    Pool errors and class means are taken for the whole grid at once, and
+    keep the bits of a pool-by-pool sum: padded bins add +0.0 to non-negative
+    terms, and both sums are ``cumsum``, which adds left to right.
+    """
+    conditional = configs[0].class_conditional  # the same for every config of a view
+    if conditional:
+        live = np.flatnonzero(view.sizes)  # empty classes leave the mean
+        # With every class live (the usual case at small K) the pools are used
+        # as they are: indexing them would cost more than it saves.
+        if len(live) < view.n_pools:
+            totals = tuple(t[:, live] for t in totals)
+        classes = live.tolist()
+    counts, conf_sums, correct_sums = totals
+    occupied = np.maximum(counts, 1)
+    gaps = correct_sums / occupied - conf_sums / occupied
+    weights = counts / np.maximum(counts.sum(axis=-1, keepdims=True), 1)
+    rows = {}  # norm -> (score, pool errors) of each bin count, as lists
+    for norm in dict.fromkeys(cfg.norm for cfg in configs):
+        terms = weights * (np.abs(gaps) if norm == "l1" else gaps * gaps)
+        # cumsum adds the bins strictly left to right, like a Python loop
+        # would; a plain sum's pairwise blocking would move the last digit.
+        errors = np.cumsum(terms, axis=-1)[..., -1]
+        if norm == "l2":
+            errors = np.sqrt(errors)
+        if conditional:
+            means = np.cumsum(errors, axis=-1)[:, -1] / len(classes)
+            rows[norm] = means.tolist(), errors.tolist()
+        else:
+            rows[norm] = errors[:, 0].tolist(), None
+    column = {b: j for j, b in enumerate(bins)}
+    out = []
+    for cfg in configs:
+        values, errors = rows[cfg.norm]
+        j = column[cfg.binning.n_bins]
+        per_class = dict(zip(classes, errors[j])) if conditional else None
+        out.append(CalibrationScore(values[j], cfg, per_class))
+    return out
 
 
 def brier_score(p: PredictionSet) -> float:

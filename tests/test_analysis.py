@@ -10,6 +10,8 @@ from calerr import (
     PredictionSet,
     average_ranks,
     bin_sensitivity_sweep,
+    gce,
+    index_to_config,
     label_noise_experiment,
     make_pathology,
     rank_correlation,
@@ -17,6 +19,7 @@ from calerr import (
     recalibrate_suite,
     sample_mixed_difficulty_logits,
     sample_overconfident_logits,
+    softmax,
     split_validation,
 )
 
@@ -143,6 +146,22 @@ class TestBinSensitivitySweep:
         suite = small_suite()
         with pytest.raises(ValueError):
             bin_sensitivity_sweep(None, [list(suite.values())[0]])
+
+    def test_grid_keeps_bin_order_and_duplicates(self):
+        # One bin_totals call covers every bin count of a view; each cell
+        # must still be the score of its own (variant, bin count, method).
+        suite = list(small_suite().values())[:3]
+        _, ev = split_validation(sample_overconfident_logits(240, 3, 0))
+        p = softmax(ev)
+        bins = (30, 10, 30, 1)
+        res = bin_sensitivity_sweep(p, suite, bins=bins)
+        assert res.bins == bins
+        for i in range(32):
+            for j, b in enumerate(bins):
+                cfg = index_to_config(i, b)
+                assert res.baseline_scores[i, j] == gce(p, cfg).value, (i, b)
+                for m, q in enumerate(suite):
+                    assert res.scores[i, j, m] == gce(q, cfg).value, (i, b, m)
 
     def test_footrule_variant(self):
         suite = small_suite()

@@ -31,10 +31,15 @@ from calerr.binning import (
 )
 
 
+def totals_of(view, scheme):
+    """``bin_totals`` of ``view`` under one scheme, as ``(n_pools, n_bins)`` arrays."""
+    return tuple(t[0] for t in bin_totals(view, scheme.kind, (scheme.n_bins,)))
+
+
 def bins_of(scores, correct, scheme):
     """The bins of one pool of ``scores``; ``correct`` marks the hits."""
     view = PooledScores(np.asarray(scores, dtype=float), np.flatnonzero(correct), None, 1)
-    return pool_bin_stats(view, scheme, bin_totals(view, scheme))[0]
+    return pool_bin_stats(view, scheme, totals_of(view, scheme))[0]
 
 
 def reference_even_bins(scores, n_bins):
@@ -279,7 +284,7 @@ class TestPooledOrder:
         scheme = BinScheme("adaptive", n_bins)
         pools = np.tile(np.arange(k), n)
         for view in (PooledScores(matrix, hits, None, k), PooledScores(flat, hits, pools, k)):
-            stats = pool_bin_stats(view, scheme, bin_totals(view, scheme))
+            stats = pool_bin_stats(view, scheme, totals_of(view, scheme))
             for j in range(k):
                 want = bins_of(matrix[:, j], correct[:, j], scheme)
                 assert [repr(dataclasses.replace(st_, class_index=None)) for st_ in stats[j]] \
@@ -357,7 +362,7 @@ class TestEvenTotals:
         split_min = 0 if side == "split" else probs.size + 1
         monkeypatch.setattr(binning, "SPLIT_EVEN_MIN_LOW", split_min)
         for name, view in _views(probs, labels).items():
-            got = bin_totals(view, BinScheme("even", n_bins))
+            got = totals_of(view, BinScheme("even", n_bins))
             assert_same_totals(got, reference_even_totals(view, n_bins))
 
     @pytest.mark.parametrize("n_bins", [1, 15])
@@ -368,7 +373,7 @@ class TestEvenTotals:
         assert (probs < 1 / n_bins).sum() > binning.SPLIT_EVEN_MIN_LOW
         for view in _views(probs, labels).values():
             assert_same_totals(
-                bin_totals(view, BinScheme("even", n_bins)),
+                totals_of(view, BinScheme("even", n_bins)),
                 reference_even_totals(view, n_bins),
             )
 
@@ -384,7 +389,7 @@ class TestEvenTotals:
         for view in (PooledScores(probs.ravel(), hits, None, 1),
                      PooledScores(probs, hits, None, 10)):
             assert_same_totals(
-                bin_totals(view, BinScheme("even", 1)), reference_even_totals(view, 1)
+                totals_of(view, BinScheme("even", 1)), reference_even_totals(view, 1)
             )
 
     def test_flat_bin0_sum_is_sequential(self):
@@ -393,7 +398,7 @@ class TestEvenTotals:
         rng = np.random.default_rng(2000)
         probs = row_softmax(3.0 * rng.standard_normal((2000, 1000)))
         view = PooledScores(probs.ravel(), np.arange(2000) * 1000, None, 1)
-        got = bin_totals(view, BinScheme("even", 15))
+        got = totals_of(view, BinScheme("even", 15))
         assert_same_totals(got, reference_even_totals(view, 15))
 
     @pytest.mark.parametrize("index", [8, 9, 12, 13])
@@ -411,3 +416,54 @@ class TestEvenTotals:
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * p.probs.nbytes
+
+
+GRID_BINS = (15, 1, 7, 15, 2)  # unsorted, with a duplicate and one bin
+
+
+def _grid_views() -> dict:
+    """Views of every form, on the split route, and over the stack limit."""
+    small = _views(*_edge_matrix(400, 10, 7, seed=21))
+    views = {name: small[name] for name in ("single-pool", "pool-label", "columns", "columns-F")}
+    split = _views(*_edge_matrix(50, 1000, 15, seed=22))
+    views["split"] = split["single-pool"]
+    views["split-columns"] = split["columns"]
+    big = _views(*_edge_matrix(3000, 10, 15, seed=23))
+    views["over-limit"] = big["pool-label"]
+    # top probabilities: only B = 1 leaves enough entries in bin 0 to split
+    rng = np.random.default_rng(24)
+    top = rng.uniform(0.5, 1.0, 5000)
+    views["split-and-keyed"] = PooledScores(top, np.flatnonzero(rng.random(5000) < top), None, 1)
+    return views
+
+
+GRID_VIEWS = _grid_views()
+
+
+class TestGridTotals:
+    """One call over a bin-count grid gives each bin count's own totals."""
+
+    def test_views_cover_both_limits(self):
+        for name in ("split", "split-columns"):
+            scores = GRID_VIEWS[name].scores
+            assert (scores < 1 / max(GRID_BINS)).sum() >= binning.SPLIT_EVEN_MIN_LOW
+        assert (len(GRID_BINS) * GRID_VIEWS["over-limit"].scores.size
+                > binning.STACK_ENTRIES)
+        mixed = GRID_VIEWS["split-and-keyed"].scores
+        assert mixed.size >= binning.SPLIT_EVEN_MIN_LOW > (mixed < 1 / 2).sum()
+        assert GRID_VIEWS["over-limit"].scores.size <= binning.STACK_ENTRIES
+
+    @pytest.mark.parametrize("kind", ["even", "adaptive"])
+    @pytest.mark.parametrize("name", sorted(GRID_VIEWS))
+    def test_each_slice_is_its_own_call(self, kind, name):
+        view = GRID_VIEWS[name]
+        grid = bin_totals(view, kind, GRID_BINS)
+        for g in grid:
+            assert g.shape == (len(GRID_BINS), view.n_pools, max(GRID_BINS))
+        for j, b in enumerate(GRID_BINS):
+            alone = bin_totals(view, kind, (b,))
+            assert_same_totals([g[j, :, :b] for g in grid], [t[0] for t in alone])
+            assert not any(g[j, :, b:].any() for g in grid)
+            if kind == "even":
+                assert_same_totals([g[j, :, :b] for g in grid],
+                                   reference_even_totals(view, b))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from calerr import (
     metric_index,
     named_metric,
     row_softmax,
+    sample_mixed_difficulty_logits,
+    softmax,
 )
 from calerr.metrics import NAMED_METRICS
 
@@ -368,3 +371,44 @@ class TestGceMany:
             gce_many(p, all_configs())
         assert str(many.value) == str(single.value)
         assert str(many.value) == "no predictions survive threshold 0.01"
+
+
+def _peak_over_input(p, score) -> float:
+    """``tracemalloc`` peak of ``score()``, in units of ``p.probs.nbytes``."""
+    tracemalloc.start()
+    try:
+        score()
+        return tracemalloc.get_traced_memory()[1] / p.probs.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def imagenet_like():
+    return softmax(sample_mixed_difficulty_logits(2000, 1000, 0))
+
+
+# Peak bounds in units of the input matrix at 2,000 x 1,000, by variant.
+SINGLE_PEAK_BOUNDS = {
+    **dict.fromkeys([*range(0, 8), *range(16, 24)], 0.1),
+    **dict.fromkeys([*range(8, 16), 26, 27, 30, 31], 0.3),
+    **dict.fromkeys([24, 25, 28, 29], 3.1),
+}
+
+
+class TestPeakMemory:
+    """Scoring memory stays a bounded multiple of the input at K = 1000."""
+
+    def test_bin_count_sweep(self, imagenet_like):
+        configs = [cfg for b in (10, 20, 30, 40, 50) for cfg in all_configs(b)]
+        assert _peak_over_input(imagenet_like, lambda: gce_many(imagenet_like, configs)) <= 4.2
+
+    def test_all_variants_at_one_bin_count(self, imagenet_like):
+        configs = all_configs(10)
+        assert _peak_over_input(imagenet_like, lambda: gce_many(imagenet_like, configs)) <= 4.2
+
+    @pytest.mark.parametrize("index", sorted(SINGLE_PEAK_BOUNDS))
+    def test_single_variant(self, imagenet_like, index):
+        cfg = index_to_config(index)
+        peak = _peak_over_input(imagenet_like, lambda: gce(imagenet_like, cfg))
+        assert peak <= SINGLE_PEAK_BOUNDS[index], cfg
