@@ -47,9 +47,9 @@ from .io import (
     bin_stats_rows,
     BIN_STATS_HEADER,
     format_float,
-    format_value,
     read_prediction_file,
     read_run_config,
+    render_rows,
     write_json,
     write_prediction_file,
     write_table,
@@ -146,8 +146,7 @@ def cmd_measure(args) -> int:
             [i, *score.config.axis_tuple(), bins, score.value]
             for i, score in enumerate(gce_many(p, all_configs(bins)))
         ]
-        for row in rows:
-            print(",".join(map(format_value, row)))
+        print(render_rows(rows), end="")
         if args.output:
             doc = [dict(zip(ALL_32_HEADER, row)) for row in rows]
             _write_report(args.output, ALL_32_HEADER, rows, doc)
@@ -158,9 +157,7 @@ def cmd_measure(args) -> int:
     index_note = "" if index is None else f"index={index} "
     print(f"metric: {index_note}{cfg.label()} bins={cfg.binning.n_bins}")
     print(f"score: {format_float(score.value)}")
-    print(",".join(BIN_STATS_HEADER))
-    for row in rows:
-        print(",".join(map(format_value, row)))
+    print(render_rows([BIN_STATS_HEADER, *rows]), end="")
     if args.output:
         doc = {
             "config": dict(zip(AXES, cfg.axis_tuple())),
@@ -286,8 +283,7 @@ def cmd_rank_methods(args) -> int:
             ],
         },
     )
-    for row in rows:
-        print(",".join(str(c) for c in row))
+    print(render_rows(rows), end="")
     return 0
 
 

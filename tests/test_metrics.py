@@ -24,9 +24,11 @@ from calerr import (
     index_to_config,
     metric_index,
     named_metric,
+    read_prediction_file,
     row_softmax,
     sample_mixed_difficulty_logits,
     softmax,
+    write_prediction_file,
 )
 from calerr.metrics import NAMED_METRICS
 
@@ -412,3 +414,17 @@ class TestPeakMemory:
         cfg = index_to_config(index)
         peak = _peak_over_input(imagenet_like, lambda: gce(imagenet_like, cfg))
         assert peak <= SINGLE_PEAK_BOUNDS[index], cfg
+
+
+class TestFilePeakMemory:
+    """A prediction file costs its matrix plus one block to read or write."""
+
+    def test_write(self, imagenet_like, tmp_path):
+        path = tmp_path / "preds.csv"
+        peak = _peak_over_input(imagenet_like, lambda: write_prediction_file(path, imagenet_like))
+        assert peak <= 1.5
+
+    def test_read(self, imagenet_like, tmp_path):
+        path = tmp_path / "preds.csv"
+        write_prediction_file(path, imagenet_like)
+        assert _peak_over_input(imagenet_like, lambda: read_prediction_file(path)) <= 3.5
