@@ -26,6 +26,13 @@ import numpy as np
 PROB_SUM_TOL = 1e-6
 # Entries per block of rows in max_prob_view's argmax.
 _ARGMAX_BLOCK = 1 << 16
+# Below this many classes a row max reads a class-major copy: one reduce
+# over K rows of length N runs at array speed, where N reduces of K entries
+# each pay numpy's per-row overhead.  Copy time over max(axis=1), one BLAS
+# thread, best of 9: 0.05-0.40x at K = 2-10 for 200-20,000 rows and 0.67x at
+# 50,000 rows; 0.37-0.75x at K = 12; at K = 16, 0.27-0.34x up to 3,000 rows
+# but 1.0x at 20,000 and 1.2x at 50,000; at K = 32, 0.47-2.5x.
+_ROW_MAX_COPY_BELOW = 16
 
 
 class ValidationError(ValueError):
@@ -177,12 +184,34 @@ class ScoredPredictions:
         )
 
 
+def _minus_row_max(z: np.ndarray) -> np.ndarray:
+    """``z`` minus each row's max, as a new array laid out like ``z``.
+
+    A max has one value whatever order its row is read in, so narrow rows
+    take it from a class-major copy.  Where two reads pick zeros of opposite
+    sign, a zero entry of the result may flip its sign, but that never
+    reaches a value: every consumer takes ``exp(±0) = 1`` or ``lse - (±0) =
+    lse``.
+    """
+    if z.ndim == 2 and z.shape[1] < _ROW_MAX_COPY_BELOW:
+        return z - np.ascontiguousarray(z.T).max(axis=0)[:, None]
+    return z - z.max(axis=1, keepdims=True)
+
+
 def row_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
-    z = np.asarray(logits, dtype=float)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax with max subtraction for overflow safety.
+
+    The row max may come from any layout (see :func:`_minus_row_max`).  The
+    row sums must run on the shifted matrix as it is laid out, which is
+    C-ordered for C-ordered logits: numpy sums each contiguous row pairwise,
+    so a class-major copy or a hand-written order would move the last bits.
+    The shifted matrix is the one new buffer; ``exp`` and the divide run in
+    place.
+    """
+    e = _minus_row_max(np.asarray(logits, dtype=float))
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def softmax(logits: LogitSet) -> PredictionSet:

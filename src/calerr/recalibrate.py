@@ -35,6 +35,7 @@ from .predictions import (
     LogitSet,
     PredictionSet,
     ValidationError,
+    _minus_row_max,
     as_probs,
     max_prob_view,
     row_softmax,
@@ -54,14 +55,37 @@ MLP_HIDDEN_LAYERS = 3
 # ---------------------------------------------------------------------------
 
 def _nll_and_grad(out_logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean NLL of softmax(out_logits) and its gradient w.r.t. the logits."""
+    """Mean NLL of softmax(out_logits) and its gradient w.r.t. the logits.
+
+    ``labels`` must index a class of every row.  The layout rules are
+    :func:`~calerr.predictions.row_softmax`'s: the row max may be read in
+    any order, since a zero max's sign never reaches a value, but the row
+    sums run on the shifted buffer as it is laid out (C-ordered rows for
+    C-ordered logits), because numpy's pairwise order within a row is what
+    the bits depend on.  The shifted buffer becomes the gradient in place.
+    """
     n = out_logits.shape[0]
-    z = out_logits - out_logits.max(axis=1, keepdims=True)
+    z = _minus_row_max(out_logits)
     lse = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(lse - z[np.arange(n), labels]))
-    p = np.exp(z - lse[:, None])
-    p[np.arange(n), labels] -= 1.0
-    return loss, p / n
+    # z is a new C- or F-contiguous array: one flat index in its memory
+    # order reaches each row's label entry.
+    row_step, col_step = (step // z.itemsize for step in z.strides)
+    at_label = np.arange(0, n * row_step, row_step) + labels * col_step
+    flat = z.ravel(order="K")
+    loss = float(np.add.reduce(lse - flat[at_label]) / n)  # np.mean's arithmetic
+    z -= lse[:, None]
+    np.exp(z, out=z)
+    flat[at_label] -= 1.0
+    z /= n
+    return loss, z
+
+
+def _class_labels(labels: np.ndarray, k: int) -> np.ndarray:
+    """``labels`` as ints, checked to index one of ``k`` classes."""
+    y = np.asarray(labels, dtype=int)
+    if y.size and not 0 <= y.min() <= y.max() < k:
+        raise ValueError(f"labels must lie in [0, {k}), got {y.min()} to {y.max()}")
+    return y
 
 
 def _dense_shapes(widths) -> list[tuple[tuple[int, int], tuple[int]]]:
@@ -88,8 +112,12 @@ def _dense_forward(weights, biases, x: np.ndarray) -> tuple[list[np.ndarray], np
     """(each layer's input, output logits): relu hidden layers, linear output."""
     inputs = [x]
     for w, b in zip(weights[:-1], biases[:-1]):
-        inputs.append(np.maximum(inputs[-1] @ w.T + b, 0.0))
-    return inputs, inputs[-1] @ weights[-1].T + biases[-1]
+        h = inputs[-1] @ w.T
+        h += b
+        inputs.append(np.maximum(h, 0.0, out=h))
+    out = inputs[-1] @ weights[-1].T
+    out += biases[-1]
+    return inputs, out
 
 
 def _dense_objective(x: np.ndarray, labels: np.ndarray, widths):
@@ -99,7 +127,7 @@ def _dense_objective(x: np.ndarray, labels: np.ndarray, widths):
     flat vector: per layer, W row-major, then b.
     """
     x = np.asarray(x, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = _class_labels(labels, widths[-1])
 
     def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
         weights, biases = _unpack(params, widths)
@@ -115,7 +143,8 @@ def _dense_objective(x: np.ndarray, labels: np.ndarray, widths):
                 grad_w.append(grad.T @ inputs[layer])
                 grad_b.append(grad.sum(axis=0))
                 if layer:
-                    grad = (grad @ weights[layer]) * (inputs[layer] > 0.0)
+                    grad = grad @ weights[layer]
+                    grad *= inputs[layer] > 0.0
         return loss, _pack(grad_w[::-1], grad_b[::-1])
 
     return f_and_grad
@@ -565,8 +594,8 @@ def affine_objective(logits: np.ndarray, labels: np.ndarray, kind: str):
     if kind not in AFFINE_KINDS:
         raise ValueError(f"kind must be one of {AFFINE_KINDS}, got {kind!r}")
     z = np.asarray(logits, dtype=float)
-    y = np.asarray(labels, dtype=int)
     n, k = z.shape
+    y = _class_labels(labels, k)
     if kind == "platt" and k == 2:
         s = z[:, 1] - z[:, 0]
         t_true = (y == 1).astype(float)
@@ -592,8 +621,12 @@ def affine_objective(logits: np.ndarray, labels: np.ndarray, kind: str):
     n_w, axis = (1, None) if kind == "platt" else (k, 0)
 
     def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, gout = _nll_and_grad(z * params[:n_w] + params[n_w:], y)
-        return loss, np.hstack([(gout * z).sum(axis=axis), gout.sum(axis=axis)])
+        out = z * params[:n_w]
+        out += params[n_w:]
+        loss, gout = _nll_and_grad(out, y)
+        grad_b = gout.sum(axis=axis)
+        gout *= z
+        return loss, np.hstack([gout.sum(axis=axis), grad_b])
 
     return f_and_grad, np.repeat([1.0, 0.0], n_w)
 
