@@ -19,24 +19,24 @@ a matrix) and the positions of the correct entries.  It takes one bin kind
 and a whole grid of bin counts, and returns per-(bin count, pool, bin)
 arrays of entry counts, score sums and correct counts, each bin count's
 bins padded with zeros up to the largest.  Adaptive binning maps each
-entry's rank in the view's stable sort, made once and shared by every bin
-count, to its run; its counts are the run lengths.  :class:`BinStats` is
+entry's rank in the view's stable sort to its run, by one of the two routes
+below; its counts are the run lengths.  :class:`BinStats` is
 the reporting form of one bin, built from one bin count's arrays by
 :func:`pool_bin_stats`.
 
 Totals are formed per (view, kind) over the whole grid.  Under bin count j
 an entry takes the key ``(j * n_pools + pool) * max(bins) + bin``, and the
-keys of all bin counts are stacked, so one ``bincount`` of counts, one of
-score sums and one of hits serve the grid.  Each bin still adds its own
-entries in input order, so every total has the bits of a call with that
-bin count alone.  Even bins of the whole grid come from one search over the
-union of the grid's inner edges and a table of how many of each bin count's
-edges lie at or below each of them.  The stacked keys number the bin counts
-times the entries; bin counts are stacked only while that stays within
-``STACK_ENTRIES``, so a large view keys them one at a time and no N·K array
-is ever multiplied by the grid.  The padding costs nothing in the scores:
-a padded bin is empty, and its term of a pool's error is +0.0, which leaves
-a left-to-right sum of non-negative terms unchanged.
+keys of all bin counts are stacked, so one ``bincount`` of counts, one
+``add.at`` of score sums and one ``bincount`` of hits serve the grid.
+Each bin still adds its own entries in input order, so every total has the
+bits of a call with that bin count alone.  Even bins of the whole grid come
+from one search over the union of the grid's inner edges and a table of how
+many of each bin count's edges lie at or below each of them.  The stacked
+keys number the bin counts times the entries; bin counts are stacked only
+while that stays within ``STACK_ENTRIES``, so a large view keys them one at
+a time and no N·K array is ever multiplied by the grid.  The padding costs
+nothing in the scores: a padded bin is empty, and its term of a pool's error
+is +0.0, which leaves a left-to-right sum of non-negative terms unchanged.
 
 Even totals take one of two routes.  A view with per-entry pool labels, or
 with fewer than ``SPLIT_EVEN_MIN_LOW`` entries below the first inner edge
@@ -51,10 +51,29 @@ both routes give the same totals to the last bit, where a pairwise sum
 (numpy's 1-D ``add.reduce``, even with ``where``) would move the last of the
 17 digits the CLI prints.
 
+Adaptive totals take one of two routes too.  A view without pool labels
+(one pool, or the columns of a matrix) keeps one sorted copy of its
+scores, ``PooledScores.sorted_scores``, which every reader shares.  If no
+pool holds a NaN and none has two equal scores on either side of an inner
+run start s (sorted[s - 1] < sorted[s], which also fails for 0.0 beside
+-0.0), an entry's stable rank is at least s exactly when its score is at
+least sorted[s].  Its run is then the number of run-start scores at or
+below it, counted by one ``greater_equal`` pass per inner start (against a
+row of start scores for a matrix) into a ``uint8`` count, or a wider one
+past 255 starts.  The keys are the same array the sort gives, so every
+total keeps its bits, and no N·K index array is built.  The passes pay only
+on views of at least ``COMPARE_MIN_ENTRIES`` entries per pass, and
+``MATRIX_PASS_COST`` times as many for a matrix; smaller views, views with
+such a tie or a NaN, and views with pool labels take ``PooledScores.order``,
+the stable sort, and scatter its runs.
+
 A stable argsort is several times slower than numpy's default one, so a
 view without per-entry pool labels whose pools hold no two equal scores
-(one plain sort shows it) is ordered by the default argsort: with distinct
+(the sorted copy shows it) is ordered by the default argsort: with distinct
 keys the sorting permutation is unique, so the order is the same array.
+Adaptive edges read their boundary scores from the sorted copy too; only
+when both are zeros, whose signs the sorted copy may hold in another
+order, do they come through ``order``.
 """
 
 from __future__ import annotations
@@ -75,6 +94,17 @@ SPLIT_EVEN_MIN_LOW = 4_000
 # bin_totals keys at most this many entries at once, over all the bin counts
 # it stacks; a larger view keys its bin counts one at a time.
 STACK_ENTRIES = 1 << 16
+# Adaptive keys of a view without pool labels come from one comparison pass
+# per inner run start when the view holds at least this many entries per
+# pass, else from the argsort.  The routes broke even near 200 entries per
+# pass on 1-D views of 1,500 to 6,000 entries.
+COMPARE_MIN_ENTRIES = 256
+# A matrix's pass compares against a broadcast row of start scores, which
+# costs more per entry, so a matrix needs this many times as many entries per
+# pass.  Its columns broke even near 1,000 entries per pass at 3,000 × 10 and
+# 150 × 100 (B = 30); at 350 to 520 per pass (1,000 and 1,500 × 10, B = 30)
+# the passes were 1.35x slower than the argsort.
+MATRIX_PASS_COST = 4
 # Entries per cumsum in _sequential_sum, which bounds its temporary.
 _SUM_CHUNK = 1 << 16
 
@@ -156,6 +186,16 @@ class PooledScores:
     n_pools: int
 
     @functools.cached_property
+    def sorted_scores(self) -> np.ndarray:
+        """``np.sort(scores, axis=0)``, made once, on first use.
+
+        Only a view without ``pools`` reads it: its one pool sorted, or each
+        column of a matrix.  Equal scores may lie in either order, so 0.0 and
+        -0.0 need not sit where the stable sort puts them.
+        """
+        return np.sort(self.scores, axis=0)
+
+    @functools.cached_property
     def order(self) -> np.ndarray:
         """Stable sort within each pool, made once, on first use.
 
@@ -167,7 +207,7 @@ class PooledScores:
         the faster default argsort returns the stable sort's array.
         """
         if self.pools is None:
-            s = np.sort(self.scores, axis=0)
+            s = self.sorted_scores
             distinct = (s[1:] > s[:-1]).all()
             return np.argsort(self.scores, axis=0, kind=None if distinct else "stable")
         return np.lexsort((self.scores, self.pools))
@@ -213,7 +253,10 @@ def _keyed_totals(
     """:func:`bin_totals` of ``bins`` from one key per entry and bin count.
 
     Entry i under ``bins[j]`` takes the key ``(j * n_pools + pool) * top +
-    bin``, so three ``bincount`` calls on the stacked keys give every total.
+    bin``, so two ``bincount`` calls and one ``add.at`` on the stacked keys
+    give every total.  The score sums use ``add.at``, which adds in the same
+    order as ``bincount``: ``bincount`` copies weights it may not write, such
+    as every unthresholded view of a frozen matrix.
     """
     shape = (len(bins), view.n_pools, top)
     size = len(bins) * view.n_pools * top
@@ -224,9 +267,11 @@ def _keyed_totals(
         weights = np.tile(weights, len(bins))
     if counts is None:
         counts = np.bincount(keys.ravel(), minlength=size).reshape(shape)
+    conf_sums = np.zeros(size)
+    np.add.at(conf_sums, keys.ravel(), weights)
     return (
         counts,
-        np.bincount(keys.ravel(), weights=weights, minlength=size).reshape(shape),
+        conf_sums.reshape(shape),
         np.bincount(keys[:, view.hits].ravel(), minlength=size).reshape(shape),
     )
 
@@ -247,10 +292,14 @@ def _stacked_keys(
 
     ``counts`` holds the padded adaptive counts, whose runs the sorted
     entries take; the runs are freed on return, before any ``bincount``.
+    Adaptive runs come from :func:`_compared_runs` where
+    :func:`_run_starts` allows it, else from the stable ``order``.
     """
     m, n_pools = len(bins), view.n_pools
     if kind == "even":
         keys = _even_bins(view.scores, bins)
+    elif (starts := _run_starts(view, bins)) is not None:
+        keys = _compared_runs(view, starts)
     elif view.scores.ndim == 2:  # every column holds the same runs
         order = view.order  # sorted before the keys exist, which bounds the peak
         runs = np.repeat(np.tile(np.arange(top), m), counts[:, 0].ravel())
@@ -258,7 +307,9 @@ def _stacked_keys(
         np.put_along_axis(keys, order[None], runs.reshape(m, -1, 1), axis=1)
     else:  # the pools lie end to end in the order
         order = view.order
-        runs = np.repeat(np.tile(np.arange(top), m * n_pools), counts.ravel())
+        # The narrowest type, so no second N·K intp array lies beside the keys.
+        runs = np.repeat(np.tile(np.arange(top, dtype=np.min_scalar_type(top - 1)),
+                                 m * n_pools), counts.ravel())
         keys = np.empty((m, view.scores.size), dtype=np.intp)
         for row, row_runs in zip(keys, runs.reshape(m, -1)):
             row[order] = row_runs
@@ -269,6 +320,52 @@ def _stacked_keys(
     j = np.arange(m).reshape((m,) + (1,) * view.scores.ndim) if m > 1 else 0
     keys += (j * n_pools + pools) * top
     return keys.reshape(m, -1)
+
+
+def _run_starts(view: PooledScores, bins: tuple[int, ...]) -> list[np.ndarray] | None:
+    """Each bin count's inner run starts if they can key ``view``, else None.
+
+    They can for a view without pool labels that holds at least
+    ``COMPARE_MIN_ENTRIES`` entries per start (counting one start where
+    there is none; ``MATRIX_PASS_COST`` times as many for a matrix), no NaN,
+    and in no pool two equal scores on either side of a start.  Only the
+    first min(B, n) runs of a pool of n are filled, so a start at the pool's
+    end begins an empty run and is left out.
+    """
+    n = view.scores.shape[0]
+    if view.pools is not None or n == 0:
+        return None
+    passes = sum(min(b, n) - 1 for b in bins)
+    cost = MATRIX_PASS_COST if view.scores.ndim == 2 else 1
+    if view.scores.size < COMPARE_MIN_ENTRIES * cost * max(passes, 1):
+        return None
+    starts = [np.cumsum(adaptive_counts(n, b))[:min(b, n) - 1] for b in bins]
+    every = np.concatenate(starts)
+    if every.size:
+        s = view.sorted_scores  # NaN sorts last
+        if np.isnan(s[-1]).any() or not (s[every - 1] < s[every]).all():
+            return None
+    return starts
+
+
+def _compared_runs(view: PooledScores, starts: list[np.ndarray]) -> np.ndarray:
+    """The adaptive run of every entry of ``view`` under each bin count.
+
+    ``starts`` comes from :func:`_run_starts`.  With no tie across a start,
+    an entry's stable rank reaches a start exactly when its score reaches
+    the start's score, so its run is the number of start scores at or below
+    it: one comparison pass per start, against a row of scores per column
+    of a matrix, added up in the narrowest unsigned type that holds it.
+    """
+    keys = np.empty((len(starts),) + view.scores.shape, dtype=np.intp)
+    reached = np.empty_like(view.scores, dtype=bool)
+    for row, at in zip(keys, starts):
+        runs = np.zeros_like(view.scores, dtype=np.min_scalar_type(at.size))
+        for threshold in view.sorted_scores[at]:
+            np.greater_equal(view.scores, threshold, out=reached)
+            np.add(runs, reached.view(np.uint8), out=runs)
+        row[...] = runs
+    return keys
 
 
 def _even_bins(scores: np.ndarray, bins: tuple[int, ...]) -> np.ndarray:
@@ -338,28 +435,45 @@ def _sequential_sum(values: np.ndarray, mask: np.ndarray) -> float:
 
 
 def _midpoint_edges(view: PooledScores, n_bins: int) -> np.ndarray:
-    """Adaptive edges of each pool of ``view``, read through its ``order``.
+    """Adaptive edges of each pool of ``view``, from its boundary scores.
 
     Returns ``(view.n_pools, n_bins + 1)`` edges: 0 and 1 outside, and
     between runs the midpoint of their boundary scores; a boundary before the
     first or after the last entry (runs of size zero) collapses to 0 or 1.
-    Only the boundary entries are gathered, not the whole sorted view.
     """
     sizes = view.sizes
     ends = np.cumsum(adaptive_counts(sizes, n_bins), axis=-1)[:, :-1]
     inside = (ends > 0) & (ends < sizes[:, None])
-    if view.scores.ndim == 2:  # sorted entry r of column j: scores[order[r, j], j]
-        at = np.where(inside, ends, 0)
-        cols = np.arange(view.n_pools)[:, None]
-        lo = view.scores[view.order[at - 1, cols], cols]
-        hi = view.scores[view.order[at, cols], cols]
-    else:  # the pools lie end to end in the order
-        at = np.where(inside, (np.cumsum(sizes) - sizes)[:, None] + ends, 0)
-        lo, hi = view.scores[view.order[at - 1]], view.scores[view.order[at]]
+    lo, hi = _boundary_scores(view, ends, inside)
     edges = np.zeros((len(sizes), n_bins + 1))
     edges[:, 1:-1] = np.where(inside, 0.5 * (lo + hi), ends > 0)
     edges[:, -1] = 1.0
     return edges
+
+
+def _boundary_scores(
+    view: PooledScores, ends: np.ndarray, inside: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stably sorted scores before and at each run end of each pool.
+
+    Only ends ``inside`` a pool are read.  A view without pool labels reads
+    them from ``sorted_scores``, any other through ``order``; only the
+    boundary entries are gathered, not the whole sorted view.
+    """
+    at = np.where(inside, ends, 0)
+    cols = np.arange(view.n_pools)[:, None]
+    if view.pools is None:  # sorted entry r of pool j: sorted_scores[r, j]
+        s = view.sorted_scores.reshape(view.scores.shape[0], view.n_pools)
+        lo, hi = s[at - 1, cols], s[at, cols]
+        # Equal scores have equal bits but for the signs of zeros, and only a
+        # midpoint of two zeros shows those; they follow the stable order.
+        if not (inside & (lo == 0) & (hi == 0)).any():
+            return lo, hi
+    if view.scores.ndim == 2:  # sorted entry r of column j: scores[order[r, j], j]
+        return view.scores[view.order[at - 1, cols], cols], view.scores[view.order[at, cols], cols]
+    # the pools lie end to end in the order
+    at = np.where(inside, (np.cumsum(view.sizes) - view.sizes)[:, None] + ends, 0)
+    return view.scores[view.order[at - 1]], view.scores[view.order[at]]
 
 
 def pool_bin_stats(

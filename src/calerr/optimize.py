@@ -45,14 +45,16 @@ def nelder_mead(
     5 percent (or by 0.00025 where the coordinate is zero).  Iteration stops
     once the spread between the best and worst vertex values drops below
     ``tol`` (converged) or after ``max_iter`` iterations (not converged).
-    The returned vertex is never worse than the best initial vertex.
+    The returned vertex is never worse than the best initial vertex.  A
+    value of +inf marks a point outside the objective's domain, worse than
+    any other; NaN and -inf raise.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = x0.shape[0]
 
     def evaluate(x: np.ndarray) -> float:
         v = float(f(x))
-        if not math.isfinite(v):
+        if math.isnan(v) or v == -math.inf:
             raise ValueError(f"objective returned non-finite value {v} at {x}")
         return v
 

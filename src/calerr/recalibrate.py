@@ -29,7 +29,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .binning import assign_even_bins, even_edges
-from .metrics import MetricConfig, gce, named_metric
+from .metrics import EmptyMeasurementError, MetricConfig, gce, named_metric
 from .optimize import SgdConfig, nelder_mead, sgd_minimize
 from .predictions import (
     LogitSet,
@@ -512,10 +512,13 @@ def fit_temperature(
 
     The search runs over log T so positivity holds by construction.  The
     ``gce`` objective scores softmax(logits / T) under ``metric`` (default:
-    the standard even-bin max-prob L1 metric at its default bin count).  If
-    Nelder-Mead exhausts its default iteration budget without converging, a
-    golden-section pass over the standard temperature bracket refines the
-    result and the model is returned with ``converged=False``.
+    the standard even-bin max-prob L1 metric at its default bin count).  A
+    temperature at which ``metric``'s threshold empties the view scores
+    +inf; if every grid temperature empties it, this raises
+    :class:`calerr.metrics.EmptyMeasurementError`.  If Nelder-Mead exhausts
+    its default iteration budget without converging, a golden-section pass
+    over the standard temperature bracket refines the result and the model
+    is returned with ``converged=False``.
     """
     if objective not in TEMPERATURE_OBJECTIVES:
         raise ValueError(f"objective must be 'nll' or 'gce', got {objective!r}")
@@ -533,9 +536,16 @@ def fit_temperature(
 
         def f(x: np.ndarray) -> float:
             probs = row_softmax(z * math.exp(-x[0]))
-            return gce(PredictionSet(probs, labels), cfg).value
+            try:
+                return gce(PredictionSet(probs, labels), cfg).value
+            except EmptyMeasurementError:
+                return math.inf
 
         grid_values = [f(np.array([g])) for g in _LOG_T_GRID]
+        if min(grid_values) == math.inf:
+            raise EmptyMeasurementError(
+                f"no predictions survive threshold {cfg.threshold} at any grid temperature"
+            )
         start = np.array([_LOG_T_GRID[int(np.argmin(grid_values))]])
 
     result = nelder_mead(f, start)

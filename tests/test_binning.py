@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from calerr.binning import (
     even_edges,
     pool_bin_stats,
 )
+from calerr.metrics import _pooled_view
 
 
 def totals_of(view, scheme):
@@ -467,3 +469,183 @@ class TestGridTotals:
             if kind == "even":
                 assert_same_totals([g[j, :, :b] for g in grid],
                                    reference_even_totals(view, b))
+
+
+# COMPARE_MIN_ENTRIES that sends every view without pool labels down each
+# adaptive route it may take: the comparison passes, or the argsort.
+ROUTES = {"compare": 0, "argsort": np.iinfo(np.intp).max}
+ROUTE_BINS = (1, 2, 3, 7, 15, 30, 150, 300)  # 300 runs need a uint16 count
+
+
+def _fresh(view):
+    """A copy of ``view`` with nothing cached, so each route sorts anew."""
+    return dataclasses.replace(view)
+
+
+def _on_route(monkeypatch, route, view, bins):
+    """``bin_totals`` of a fresh view on ``route`` and, for one bin count, its stats.
+
+    The stats are the edges' bytes and, up to 50,000 bins (beyond that the
+    ``BinStats`` objects cost seconds), the ``pool_bin_stats`` reprs.
+    """
+    monkeypatch.setattr(binning, "COMPARE_MIN_ENTRIES", ROUTES[route])
+    view = _fresh(view)
+    totals = bin_totals(view, "adaptive", bins)
+    stats = None
+    if len(bins) == 1:
+        stats = [binning._midpoint_edges(view, bins[0]).tobytes()]
+        if view.n_pools * bins[0] <= 50_000:
+            stats += [repr(st_) for pool in pool_bin_stats(
+                view, BinScheme("adaptive", bins[0]), [t[0] for t in totals]) for st_ in pool]
+    return view, totals, stats
+
+
+def assert_same_on_both_routes(monkeypatch, view, bins):
+    """Both routes give the same totals and stats; return the compare route's view."""
+    compared, got, got_stats = _on_route(monkeypatch, "compare", view, bins)
+    _, want, want_stats = _on_route(monkeypatch, "argsort", view, bins)
+    assert_same_totals(got, want)
+    assert got_stats == want_stats
+    return compared
+
+
+def _nan_view():
+    rng = np.random.default_rng(11)
+    scores = rng.random(2000)
+    scores[rng.choice(2000, 300, replace=False)] = np.nan
+    return PooledScores(scores, np.flatnonzero(rng.random(2000) < 0.5), None, 1)
+
+
+def _order_views():
+    views = {}
+    for name, matrix in ORDER_INPUTS.items():
+        hits = np.flatnonzero(np.random.default_rng(5).random(matrix.size) < 0.3)
+        views[f"{name}-flat"] = PooledScores(matrix.ravel(), hits, None, 1)
+        views[f"{name}-columns"] = PooledScores(matrix, hits, None, matrix.shape[1])
+    return views
+
+
+ORDER_VIEWS = _order_views()
+
+
+class TestAdaptiveRoutes:
+    """Comparison passes at the run starts key as the stable sort does."""
+
+    @pytest.mark.parametrize("n_bins", ROUTE_BINS)
+    @pytest.mark.parametrize("name", sorted(ORDER_VIEWS))
+    def test_order_inputs(self, monkeypatch, name, n_bins):
+        view = assert_same_on_both_routes(monkeypatch, ORDER_VIEWS[name], (n_bins,))
+        if name.startswith("distinct") and n_bins <= len(view.scores):
+            assert "order" not in view.__dict__  # the compare route ran
+
+    @pytest.mark.parametrize("n_bins", ROUTE_BINS)
+    @pytest.mark.parametrize("k", sorted(SHAPES))
+    def test_edge_matrix_views(self, monkeypatch, k, n_bins):
+        probs, labels = _edge_matrix(SHAPES[k], k, n_bins, seed=k + n_bins)
+        for view in _views(probs, labels).values():  # columns-F among them
+            assert_same_on_both_routes(monkeypatch, view, (n_bins,))
+
+    @pytest.mark.parametrize("n_bins", ROUTE_BINS)
+    def test_nan_view_keeps_the_argsort(self, monkeypatch, n_bins):
+        view = assert_same_on_both_routes(monkeypatch, _nan_view(), (n_bins,))
+        assert ("order" in view.__dict__) == (n_bins > 1)
+
+    @pytest.mark.parametrize("n_bins", ROUTE_BINS)
+    def test_view_over_the_stack_limit(self, monkeypatch, n_bins):
+        # More entries than bin_totals stacks at once, on either route.
+        rng = np.random.default_rng(17)
+        scores = rng.random(binning.STACK_ENTRIES + 1000)
+        view = PooledScores(scores, np.flatnonzero(rng.random(scores.size) < 0.3), None, 1)
+        assert_same_on_both_routes(monkeypatch, view, (n_bins,))
+
+    @pytest.mark.parametrize("name", sorted(GRID_VIEWS))
+    def test_grid(self, monkeypatch, name):
+        assert_same_on_both_routes(monkeypatch, GRID_VIEWS[name], GRID_BINS)
+
+    def test_tie_across_a_run_start_keeps_the_argsort(self, monkeypatch):
+        # Twelve entries in three runs of four: the two 0.45 entries sort to
+        # ranks 3 and 4, one each side of the first start, and the stable
+        # order puts the first of them (a hit) in run 0.
+        scores = np.array([0.9, 0.45, 0.1, 0.2, 0.45, 0.7, 0.3, 0.8, 0.6, 0.95, 0.5, 0.85])
+        view = PooledScores(scores, np.array([1]), None, 1)
+        s = np.sort(scores)
+        assert s[3] == s[4]
+        compared = assert_same_on_both_routes(monkeypatch, view, (3,))
+        assert "order" in compared.__dict__
+        counts, _, hits = totals_of(_fresh(view), BinScheme("adaptive", 3))
+        assert counts.tolist() == [[4, 4, 4]] and hits.tolist() == [[1, 0, 0]]
+
+    def test_tie_inside_a_run_takes_the_comparison(self, monkeypatch):
+        # The two 0.45 entries sort to ranks 5 and 6, both in run 1.
+        scores = np.array([0.9, 0.45, 0.1, 0.2, 0.45, 0.7, 0.3, 0.8, 0.05, 0.95, 0.15, 0.85])
+        view = PooledScores(scores, np.array([1, 4]), None, 1)
+        s = np.sort(scores)
+        assert s[5] == s[6] and s[3] < s[4] and s[7] < s[8]
+        compared = assert_same_on_both_routes(monkeypatch, view, (3,))
+        assert "order" not in compared.__dict__
+        counts, _, hits = totals_of(_fresh(view), BinScheme("adaptive", 3))
+        assert counts.tolist() == [[4, 4, 4]] and hits.tolist() == [[0, 2, 0]]
+
+    def test_routes_at_benchmark_shapes(self):
+        # Unthresholded full views at 200 x 1000 skip the argsort; the views
+        # of a 150 x 10 set, binned over a five-count grid, keep it.
+        rng = np.random.default_rng(0)
+        wide = PredictionSet(row_softmax(3.0 * rng.standard_normal((200, 1000))),
+                             rng.integers(0, 1000, 200))
+        for n_bins in (15, 30):
+            for index in (24, 25, 28, 29):
+                view = _pooled_view(wide, all_configs(n_bins)[index])
+                bin_totals(view, "adaptive", (n_bins,))
+                assert "order" not in view.__dict__, index
+        small = PredictionSet(row_softmax(3.0 * rng.standard_normal((150, 10))),
+                              rng.integers(0, 10, 150))
+        for cfg in all_configs()[16:]:
+            view = _pooled_view(small, cfg)
+            bin_totals(view, "adaptive", (10, 20, 30, 40, 50))
+            assert "order" in view.__dict__, cfg
+
+    def test_matrix_needs_more_entries_per_pass(self):
+        # 15,000 entries: as columns of 1,500 x 10 they hold 1,071 entries per
+        # pass at B = 15 and 517 at B = 30; as one flat pool, 517 at B = 30.
+        rng = np.random.default_rng(3)
+        matrix = row_softmax(3.0 * rng.standard_normal((1500, 10)))
+        hits = np.flatnonzero(rng.random(matrix.size) < 0.3)
+        cases = [(PooledScores(matrix, hits, None, 10), 15, False),
+                 (PooledScores(matrix, hits, None, 10), 30, True),
+                 (PooledScores(matrix.ravel(), hits, None, 1), 30, False)]
+        for view, n_bins, sorted_ in cases:
+            bin_totals(view, "adaptive", (n_bins,))
+            assert ("order" in view.__dict__) == sorted_, (view.scores.ndim, n_bins)
+
+    def test_full_view_peak_memory(self):
+        # The compare route holds the sorted copy and the keys, not an order.
+        rng = np.random.default_rng(13)
+        p = PredictionSet(row_softmax(3.0 * rng.standard_normal((500, 1000))),
+                          rng.integers(0, 1000, 500))
+        runs = [functools.partial(gce, p, all_configs(n_bins)[index])
+                for n_bins in (15, 30) for index in (24, 25, 28, 29)]
+        for run in runs + [functools.partial(gce_many, p, all_configs())]:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * p.probs.nbytes, run
+
+    def test_tied_full_view_peak_memory(self):
+        # Saturated rows tie at every run start, so their views keep the
+        # argsort beside the sorted copy; narrow runs keep the order the only
+        # N·K index array.
+        rng = np.random.default_rng(13)
+        p = PredictionSet(row_softmax(1e4 * rng.standard_normal((500, 1000))),
+                          rng.integers(0, 1000, 500))
+        for n_bins in (15, 30):
+            for index in (24, 25, 28, 29):
+                tracemalloc.start()
+                try:
+                    gce(p, all_configs(n_bins)[index])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 3.5 * p.probs.nbytes, (index, n_bins)

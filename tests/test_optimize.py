@@ -52,6 +52,17 @@ class TestNelderMead:
     def test_non_finite_objective_raises(self):
         with pytest.raises(ValueError, match="non-finite"):
             nelder_mead(lambda x: float("nan"), np.array([1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            nelder_mead(lambda x: -float("inf"), np.array([1.0]))
+
+    def test_plus_inf_is_worse_than_any_value(self):
+        # +inf marks points outside the domain; the search stays inside it.
+        def f(x):
+            return (x[0] - 0.9) ** 2 if x[0] < 1.0 else float("inf")
+
+        res = nelder_mead(f, np.array([0.98]))
+        assert res.converged
+        assert res.x[0] == pytest.approx(0.9, abs=1e-3)
 
     def test_zero_coordinate_gets_absolute_perturbation(self):
         # from exactly 0 the simplex must still have positive volume

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 import oracle
 from calerr import (
+    EmptyMeasurementError,
     LogitSet,
     PredictionSet,
     SgdConfig,
@@ -27,11 +29,13 @@ from calerr import (
     fit_isotonic_multiclass,
     fit_mlp_scaling,
     fit_temperature,
+    gce,
     grad_check,
     init_mlp_params,
     mlp_objective,
     model_from_dict,
     model_to_dict,
+    named_metric,
     nll,
     row_softmax,
     sample_overconfident_logits,
@@ -331,6 +335,24 @@ class TestTemperature:
         lg = sample_overconfident_logits(500, 3, 2)
         model = fit_temperature(lg, objective="gce")
         assert model.temperature > 0
+
+    def test_gce_objective_scores_an_emptied_view_as_worst(self):
+        # At T = 20 every probability of these K = 1000 rows is about 0.001,
+        # so the TACE threshold of 0.01 empties the view; the fit must pass
+        # over such temperatures rather than raise.
+        rng = np.random.default_rng(0)
+        lg = LogitSet(rng.standard_normal((30, 1000)), rng.integers(0, 1000, 30))
+        cfg = named_metric("TACE")
+        with pytest.raises(EmptyMeasurementError):
+            gce(apply_temperature(TemperatureModel(20.0), lg), cfg)
+        model = fit_temperature(lg, "gce", cfg)
+        assert math.isfinite(gce(apply_temperature(model, lg), cfg).value)
+
+    def test_gce_objective_raises_when_every_grid_temperature_empties(self):
+        # Equal logits give 1 / 1000 to every class at any T.
+        lg = LogitSet(np.zeros((5, 1000)), np.arange(5))
+        with pytest.raises(EmptyMeasurementError, match="at any grid temperature"):
+            fit_temperature(lg, "gce", named_metric("TACE"))
 
     def test_rejects_unknown_objective(self):
         lg = sample_overconfident_logits(50, 3, 0)
