@@ -52,28 +52,41 @@ both routes give the same totals to the last bit, where a pairwise sum
 17 digits the CLI prints.
 
 Adaptive totals take one of two routes too.  A view without pool labels
-(one pool, or the columns of a matrix) keeps one sorted copy of its
-scores, ``PooledScores.sorted_scores``, which every reader shares.  If no
-pool holds a NaN and none has two equal scores on either side of an inner
-run start s (sorted[s - 1] < sorted[s], which also fails for 0.0 beside
--0.0), an entry's stable rank is at least s exactly when its score is at
-least sorted[s].  Its run is then the number of run-start scores at or
-below it, counted by one ``greater_equal`` pass per inner start (against a
-row of start scores for a matrix) into a ``uint8`` count, or a wider one
-past 255 starts.  The keys are the same array the sort gives, so every
-total keeps its bits, and no N·K index array is built.  The passes pay only
-on views of at least ``COMPARE_MIN_ENTRIES`` entries per pass, and
-``MATRIX_PASS_COST`` times as many for a matrix; smaller views, views with
-such a tie or a NaN, and views with pool labels take ``PooledScores.order``,
-the stable sort, and scatter its runs.
+(one pool, or the columns of a matrix) is keyed block by block.  A 1-D view
+is one block, keyed from one sorted copy of its scores,
+``PooledScores.sorted_scores``, which the edges share.  A matrix is cut
+into blocks of whole columns of at most ``BLOCK_ENTRIES`` entries (a single
+column where one holds more), each sorted on its own and freed in turn.  If
+no pool of a block holds a NaN and none has two equal scores on either side
+of an inner run start s (sorted[s - 1] < sorted[s], which also fails for
+0.0 beside -0.0), an entry's stable rank is at least s exactly when its
+score is at least sorted[s].  Its run is then the number of run-start
+scores at or below it, counted by one ``greater_equal`` pass per inner
+start (against a row of start scores for a matrix) into a ``uint8`` count,
+or a wider one past 255 starts.  The passes pay only on blocks of at least
+``COMPARE_MIN_ENTRIES`` entries per pass, and ``MATRIX_PASS_COST`` times as
+many for a matrix; a smaller block, or one with such a tie or a NaN, gives
+the ranks of its stable argsort their runs instead.
+
+The keys of such a view take the narrowest unsigned type that holds them:
+``uint8`` for one pool at up to 256 bins, ``uint16`` while bin counts times
+pools times bins stay within 65,536, and wider above that.  The score sums
+take ``np.add.at``, which adds in input order with narrow keys and copies
+none of them; the counts are the run lengths, and the hits one ``bincount``
+of the N hit keys.  Each bin lies in one column and its entries keep their
+order, so every total keeps its bits, and no N·K index array or sorted copy
+of a whole matrix is built.  Views with pool labels take
+``PooledScores.order``, the stable sort by (pool, score), and scatter its
+runs.
 
 A stable argsort is several times slower than numpy's default one, so a
 view without per-entry pool labels whose pools hold no two equal scores
 (the sorted copy shows it) is ordered by the default argsort: with distinct
 keys the sorting permutation is unique, so the order is the same array.
-Adaptive edges read their boundary scores from the sorted copy too; only
-when both are zeros, whose signs the sorted copy may hold in another
-order, do they come through ``order``.
+Adaptive edges read their boundary scores from the view's sorted copy,
+which a matrix makes only for them; only when both are zeros, whose signs
+the sorted copy may hold in another order, do they come through
+``order``.
 """
 
 from __future__ import annotations
@@ -105,6 +118,13 @@ COMPARE_MIN_ENTRIES = 256
 # 150 × 100 (B = 30); at 350 to 520 per pass (1,000 and 1,500 × 10, B = 30)
 # the passes were 1.35x slower than the argsort.
 MATRIX_PASS_COST = 4
+# Adaptive keys of a matrix without pool labels are made a block of whole
+# columns of at most this many entries at a time, each block sorted on its
+# own, so no sorted copy or run count of the whole matrix lies beside the
+# keys.  A block holds about 18 bytes an entry (two float copies, a count
+# and a mask).  At K = 1000, blocks of 2^17 ran 2-10% faster and blocks of
+# 2^14 20-35% slower than these.
+BLOCK_ENTRIES = 1 << 16
 # Entries per cumsum in _sequential_sum, which bounds its temporary.
 _SUM_CHUNK = 1 << 16
 
@@ -254,9 +274,11 @@ def _keyed_totals(
 
     Entry i under ``bins[j]`` takes the key ``(j * n_pools + pool) * top +
     bin``, so two ``bincount`` calls and one ``add.at`` on the stacked keys
-    give every total.  The score sums use ``add.at``, which adds in the same
-    order as ``bincount``: ``bincount`` copies weights it may not write, such
-    as every unthresholded view of a frozen matrix.
+    give every total; adaptive counts are the run lengths.  The score sums
+    use ``add.at``, which adds in the same order as ``bincount`` and copies
+    neither the keys, which may be narrow, nor the weights: ``bincount``
+    copies both unless they are intp keys and weights it may write, and
+    every unthresholded view is of a frozen matrix.
     """
     shape = (len(bins), view.n_pools, top)
     size = len(bins) * view.n_pools * top
@@ -292,19 +314,15 @@ def _stacked_keys(
 
     ``counts`` holds the padded adaptive counts, whose runs the sorted
     entries take; the runs are freed on return, before any ``bincount``.
-    Adaptive runs come from :func:`_compared_runs` where
-    :func:`_run_starts` allows it, else from the stable ``order``.
+    Adaptive keys of a view without pool labels come from
+    :func:`_unlabelled_keys`; those of a pool-labelled view from its stable
+    ``order``.
     """
     m, n_pools = len(bins), view.n_pools
     if kind == "even":
         keys = _even_bins(view.scores, bins)
-    elif (starts := _run_starts(view, bins)) is not None:
-        keys = _compared_runs(view, starts)
-    elif view.scores.ndim == 2:  # every column holds the same runs
-        order = view.order  # sorted before the keys exist, which bounds the peak
-        runs = np.repeat(np.tile(np.arange(top), m), counts[:, 0].ravel())
-        keys = np.empty((m,) + view.scores.shape, dtype=np.intp)
-        np.put_along_axis(keys, order[None], runs.reshape(m, -1, 1), axis=1)
+    elif view.pools is None:
+        return _unlabelled_keys(view, bins, top, counts[:, 0]).reshape(m, -1)
     else:  # the pools lie end to end in the order
         order = view.order
         # The narrowest type, so no second N·K intp array lies beside the keys.
@@ -318,8 +336,65 @@ def _stacked_keys(
     else:
         pools = 0 if view.pools is None else view.pools
     j = np.arange(m).reshape((m,) + (1,) * view.scores.ndim) if m > 1 else 0
-    keys += (j * n_pools + pools) * top
+    offsets = (j * n_pools + pools) * top
+    if np.ndim(offsets):  # else a 1-D view without pool labels at one bin count: 0
+        keys += offsets
     return keys.reshape(m, -1)
+
+
+def _unlabelled_keys(
+    view: PooledScores, bins: tuple[int, ...], top: int, counts: np.ndarray
+) -> np.ndarray:
+    """Adaptive keys of a view without pool labels, ``(len(bins),) + scores.shape``.
+
+    ``counts[j]`` holds the run lengths, padded to ``top``, that every pool
+    takes under ``bins[j]``.  The keys take the narrowest unsigned type that
+    holds them.  A 1-D view is keyed as one block, so its sorted copy and
+    order stay cached for the edges.  A matrix is keyed in blocks of whole
+    columns, as even as may be and of at most ``BLOCK_ENTRIES`` entries
+    unless one column holds more; each block is a view of its own, sorted
+    and freed in turn.
+    """
+    m, n_pools = len(bins), view.n_pools
+    keys = np.empty((m,) + view.scores.shape, dtype=np.min_scalar_type(m * n_pools * top - 1))
+    offsets = ((np.arange(m)[:, None] * n_pools + np.arange(n_pools)) * top).astype(keys.dtype)
+    if view.scores.ndim == 1:
+        _block_keys(view, bins, keys, offsets[:, 0], counts)
+        return keys
+    width = -(-n_pools // -(-view.scores.size // BLOCK_ENTRIES))
+    for c in range(0, n_pools, width):
+        # A contiguous copy: the passes compare it about 1.4x as fast.
+        block = np.ascontiguousarray(view.scores[:, c:c + width])
+        _block_keys(PooledScores(block, view.hits[:0], None, block.shape[1]), bins,
+                    keys[..., c:c + width], offsets[:, c:c + width], counts)
+    return keys
+
+
+def _block_keys(
+    view: PooledScores, bins: tuple[int, ...], out: np.ndarray, offsets: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """Write the adaptive keys of ``view``, without pool labels, into ``out``.
+
+    ``offsets[j]`` is the key of run 0 of each pool under ``bins[j]``, and
+    ``counts[j]`` the padded run lengths of every pool.  The runs come from
+    :func:`_compared_runs` where :func:`_run_starts` allows it, else from
+    the stable ``order``, whose ranks take the runs in turn.
+    """
+    starts = _run_starts(view, bins)
+    if starts is not None:
+        _compared_runs(view, starts, out, offsets)
+        return
+    m, top = counts.shape
+    runs = np.repeat(np.tile(np.arange(top, dtype=out.dtype), m), counts.ravel())
+    shape = (m, view.scores.shape[0]) + (1,) * (view.scores.ndim - 1)
+    keys = runs.reshape(shape) + offsets[:, None]
+    # The fastest scatters measured: one for a matrix, one per row for 1-D.
+    if view.scores.ndim == 2:
+        out[:, view.order, np.arange(view.n_pools)] = keys
+    else:
+        for row, row_keys in zip(out, keys):
+            row[view.order] = row_keys
 
 
 def _run_starts(view: PooledScores, bins: tuple[int, ...]) -> list[np.ndarray] | None:
@@ -333,7 +408,7 @@ def _run_starts(view: PooledScores, bins: tuple[int, ...]) -> list[np.ndarray] |
     end begins an empty run and is left out.
     """
     n = view.scores.shape[0]
-    if view.pools is not None or n == 0:
+    if n == 0:
         return None
     passes = sum(min(b, n) - 1 for b in bins)
     cost = MATRIX_PASS_COST if view.scores.ndim == 2 else 1
@@ -348,24 +423,32 @@ def _run_starts(view: PooledScores, bins: tuple[int, ...]) -> list[np.ndarray] |
     return starts
 
 
-def _compared_runs(view: PooledScores, starts: list[np.ndarray]) -> np.ndarray:
-    """The adaptive run of every entry of ``view`` under each bin count.
+def _compared_runs(
+    view: PooledScores, starts: list[np.ndarray], out: np.ndarray, offsets: np.ndarray
+) -> None:
+    """Write the key of every entry's adaptive run under each bin count into ``out``.
 
     ``starts`` comes from :func:`_run_starts`.  With no tie across a start,
     an entry's stable rank reaches a start exactly when its score reaches
     the start's score, so its run is the number of start scores at or below
     it: one comparison pass per start, against a row of scores per column
-    of a matrix, added up in the narrowest unsigned type that holds it.
+    of a matrix, counted in the narrowest unsigned type that holds it.  The
+    pools' ``offsets`` are added once; a count of the keys' own type is made
+    in place, from the offsets.
     """
-    keys = np.empty((len(starts),) + view.scores.shape, dtype=np.intp)
     reached = np.empty_like(view.scores, dtype=bool)
-    for row, at in zip(keys, starts):
-        runs = np.zeros_like(view.scores, dtype=np.min_scalar_type(at.size))
+    for row, at, off in zip(out, starts, offsets):
+        count = np.min_scalar_type(at.size)
+        if count == out.dtype:
+            runs = row
+            runs[...] = off
+        else:
+            runs = np.zeros_like(view.scores, dtype=count)
         for threshold in view.sorted_scores[at]:
             np.greater_equal(view.scores, threshold, out=reached)
             np.add(runs, reached.view(np.uint8), out=runs)
-        row[...] = runs
-    return keys
+        if runs is not row:
+            np.add(runs, off, out=row)
 
 
 def _even_bins(scores: np.ndarray, bins: tuple[int, ...]) -> np.ndarray:

@@ -66,6 +66,31 @@ def reference_even_totals(view, n_bins):
     )
 
 
+def reference_adaptive_totals(view, bins):
+    """Adaptive ``bin_totals`` of a view without pool labels by definition.
+
+    Each pool's stable argsort gives every entry its run, and intp keys go
+    through three bincounts per bin count, padded to ``max(bins)``.
+    """
+    scores = view.scores.reshape(view.scores.shape[0], -1)
+    n, k = scores.shape
+    order = np.argsort(scores, axis=0, kind="stable")
+    top = max(bins)
+    size, shape = k * top, (k, top)
+    totals = []
+    for b in bins:
+        runs = np.empty(scores.shape, dtype=np.intp)
+        np.put_along_axis(runs, order, np.repeat(np.arange(b), adaptive_counts(n, b))[:, None],
+                          axis=0)
+        keys = (np.arange(k) * top + runs).ravel()
+        totals.append((
+            np.bincount(keys, minlength=size).reshape(shape),
+            np.bincount(keys, weights=scores.ravel(), minlength=size).reshape(shape),
+            np.bincount(keys[view.hits], minlength=size).reshape(shape),
+        ))
+    return tuple(np.stack(t) for t in zip(*totals))
+
+
 def assert_same_totals(got, want):
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.shape == w.shape
@@ -509,6 +534,31 @@ def assert_same_on_both_routes(monkeypatch, view, bins):
     return compared
 
 
+def _keyed_blocks(monkeypatch, view, bins):
+    """Adaptive ``bin_totals`` of ``view``: (blocks keyed, blocks keyed by passes).
+
+    A pool-labelled view is keyed through its order, in no block.
+    """
+    blocks, compared = [], []
+    block_keys, compared_runs = binning._block_keys, binning._compared_runs
+    with monkeypatch.context() as patch:
+        patch.setattr(binning, "_block_keys", lambda *a: blocks.append(1) or block_keys(*a))
+        patch.setattr(binning, "_compared_runs",
+                      lambda *a: compared.append(1) or compared_runs(*a))
+        bin_totals(view, "adaptive", bins)
+    return len(blocks), len(compared)
+
+
+def _peak(run):
+    """The ``tracemalloc`` peak of ``run()``, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _nan_view():
     rng = np.random.default_rng(11)
     scores = rng.random(2000)
@@ -586,25 +636,26 @@ class TestAdaptiveRoutes:
         counts, _, hits = totals_of(_fresh(view), BinScheme("adaptive", 3))
         assert counts.tolist() == [[4, 4, 4]] and hits.tolist() == [[0, 2, 0]]
 
-    def test_routes_at_benchmark_shapes(self):
-        # Unthresholded full views at 200 x 1000 skip the argsort; the views
-        # of a 150 x 10 set, binned over a five-count grid, keep it.
+    def test_routes_at_benchmark_shapes(self, monkeypatch):
+        # Unthresholded full views at 200 x 1000 skip the argsort in every
+        # block; the views of a 150 x 10 set, binned over a five-count grid,
+        # keep it.
         rng = np.random.default_rng(0)
         wide = PredictionSet(row_softmax(3.0 * rng.standard_normal((200, 1000))),
                              rng.integers(0, 1000, 200))
         for n_bins in (15, 30):
             for index in (24, 25, 28, 29):
                 view = _pooled_view(wide, all_configs(n_bins)[index])
-                bin_totals(view, "adaptive", (n_bins,))
+                blocks, compared = _keyed_blocks(monkeypatch, view, (n_bins,))
+                assert compared == blocks > 0, index
                 assert "order" not in view.__dict__, index
         small = PredictionSet(row_softmax(3.0 * rng.standard_normal((150, 10))),
                               rng.integers(0, 10, 150))
         for cfg in all_configs()[16:]:
             view = _pooled_view(small, cfg)
-            bin_totals(view, "adaptive", (10, 20, 30, 40, 50))
-            assert "order" in view.__dict__, cfg
+            assert _keyed_blocks(monkeypatch, view, (10, 20, 30, 40, 50))[1] == 0, cfg
 
-    def test_matrix_needs_more_entries_per_pass(self):
+    def test_matrix_needs_more_entries_per_pass(self, monkeypatch):
         # 15,000 entries: as columns of 1,500 x 10 they hold 1,071 entries per
         # pass at B = 15 and 517 at B = 30; as one flat pool, 517 at B = 30.
         rng = np.random.default_rng(3)
@@ -614,24 +665,105 @@ class TestAdaptiveRoutes:
                  (PooledScores(matrix, hits, None, 10), 30, True),
                  (PooledScores(matrix.ravel(), hits, None, 1), 30, False)]
         for view, n_bins, sorted_ in cases:
-            bin_totals(view, "adaptive", (n_bins,))
-            assert ("order" in view.__dict__) == sorted_, (view.scores.ndim, n_bins)
+            assert _keyed_blocks(monkeypatch, view, (n_bins,)) == (1, int(not sorted_)), \
+                (view.scores.ndim, n_bins)
+
+    @pytest.mark.parametrize("n_bins", [1, 7, 15, 30])
+    @pytest.mark.parametrize("block_entries, n_blocks", [(1, 10), (1200, 4), (4000, 1)])
+    @pytest.mark.parametrize("name", ["columns", "columns-F"])
+    @pytest.mark.parametrize("source", ["edge", "softmax"])
+    def test_column_blocks(self, monkeypatch, source, name, block_entries, n_blocks, n_bins):
+        # 400 x 10 columns in blocks of one column, of 3, 3, 3 and 1 columns,
+        # and in one block; the edge matrix ties across starts in some.
+        if source == "edge":
+            probs, labels = _edge_matrix(400, 10, n_bins, seed=31 + n_bins)
+        else:
+            rng = np.random.default_rng(31 + n_bins)
+            probs, labels = row_softmax(3.0 * rng.standard_normal((400, 10))), rng.integers(0, 10, 400)
+        view = _views(probs, labels)[name]
+        monkeypatch.setattr(binning, "BLOCK_ENTRIES", block_entries)
+        assert_same_on_both_routes(monkeypatch, view, (n_bins,))
+        monkeypatch.setattr(binning, "COMPARE_MIN_ENTRIES", 0)
+        blocks, compared = _keyed_blocks(monkeypatch, _fresh(view), (n_bins,))
+        assert blocks == n_blocks
+        if source == "softmax":
+            assert compared == n_blocks
+        assert_same_totals(bin_totals(_fresh(view), "adaptive", (n_bins,)),
+                           reference_adaptive_totals(view, (n_bins,)))
+
+    @pytest.mark.parametrize("flaw", ["tie", "nan"])
+    def test_one_flawed_block_takes_the_argsort(self, monkeypatch, flaw):
+        # 300 x 6 distinct scores in three blocks of two columns; column 3
+        # alone gets a tie across its first run start (B = 3), or a NaN.
+        rng = np.random.default_rng(41)
+        matrix = rng.random((300, 6))
+        column = matrix[:, 3]
+        s = np.sort(column)
+        if flaw == "tie":
+            column[column == s[100]] = s[99]
+        else:
+            column[7] = np.nan
+        view = PooledScores(matrix, np.flatnonzero(rng.random(matrix.size) < 0.3), None, 6)
+        monkeypatch.setattr(binning, "BLOCK_ENTRIES", 600)
+        assert_same_on_both_routes(monkeypatch, view, (3,))
+        monkeypatch.setattr(binning, "COMPARE_MIN_ENTRIES", 0)
+        assert _keyed_blocks(monkeypatch, _fresh(view), (3,)) == (3, 2)
+        assert_same_totals(bin_totals(_fresh(view), "adaptive", (3,)),
+                           reference_adaptive_totals(view, (3,)))
+
+    @pytest.mark.parametrize("n_bins", [30, 300])
+    def test_fewer_entries_than_bins(self, monkeypatch, n_bins):
+        rng = np.random.default_rng(43)
+        probs = row_softmax(3.0 * rng.standard_normal((20, 300)))
+        hits = np.arange(20) * 300 + rng.integers(0, 300, 20)
+        views = [PooledScores(probs, hits, None, 300),
+                 PooledScores(np.asfortranarray(probs), hits, None, 300),
+                 PooledScores(probs[:, 0], np.arange(0, 20, 3), None, 1)]
+        monkeypatch.setattr(binning, "BLOCK_ENTRIES", 1000)
+        for view in views:
+            assert_same_on_both_routes(monkeypatch, view, (n_bins,))
+            assert_same_totals(bin_totals(_fresh(view), "adaptive", (n_bins,)),
+                               reference_adaptive_totals(view, (n_bins,)))
+
+    @pytest.mark.parametrize("name", ["single-pool", "columns", "columns-F"])
+    def test_grid_in_blocks(self, monkeypatch, name):
+        # Five bin counts stacked into one key array, in blocks of 3, 3, 3
+        # and 1 columns.
+        view = GRID_VIEWS[name]
+        monkeypatch.setattr(binning, "BLOCK_ENTRIES", 1200)
+        assert_same_on_both_routes(monkeypatch, view, GRID_BINS)
+        assert_same_totals(bin_totals(_fresh(view), "adaptive", GRID_BINS),
+                           reference_adaptive_totals(view, GRID_BINS))
+
+    @pytest.mark.parametrize("shape, bins, dtype", [
+        ((2000,), (256,), np.uint8), ((2000,), (257,), np.uint16),
+        ((100, 10), (25,), np.uint8), ((100, 10), (26,), np.uint16),
+        ((30, 1000), (30, 40), np.uint32),
+    ])
+    def test_narrowest_key_type(self, monkeypatch, shape, bins, dtype):
+        rng = np.random.default_rng(47)
+        scores = rng.random(shape)
+        n_pools = shape[1] if len(shape) == 2 else 1
+        view = PooledScores(scores, np.flatnonzero(rng.random(scores.size) < 0.3), None, n_pools)
+        monkeypatch.setattr(binning, "BLOCK_ENTRIES", scores.size // 4)
+        counts = binning._padded_counts(view.sizes, bins, max(bins))
+        assert binning._stacked_keys(view, "adaptive", bins, max(bins), counts).dtype == dtype
+        assert_same_on_both_routes(monkeypatch, view, bins)
+        assert_same_totals(bin_totals(_fresh(view), "adaptive", bins),
+                           reference_adaptive_totals(view, bins))
 
     def test_full_view_peak_memory(self):
-        # The compare route holds the sorted copy and the keys, not an order.
-        rng = np.random.default_rng(13)
+        # Narrow keys, and a matrix keyed block by block: no N·K intp array,
+        # and no sorted copy of a whole matrix.
+        rng = np.random.default_rng(0)
         p = PredictionSet(row_softmax(3.0 * rng.standard_normal((500, 1000))),
                           rng.integers(0, 1000, 500))
-        runs = [functools.partial(gce, p, all_configs(n_bins)[index])
-                for n_bins in (15, 30) for index in (24, 25, 28, 29)]
-        for run in runs + [functools.partial(gce_many, p, all_configs())]:
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 2.5 * p.probs.nbytes, run
+        bounds = {24: 0.75, 25: 0.75, 28: 1.35, 29: 1.35}
+        for n_bins in (15, 30):
+            for index, bound in bounds.items():
+                peak = _peak(functools.partial(gce, p, all_configs(n_bins)[index]))
+                assert peak <= bound * p.probs.nbytes, (index, n_bins)
+        assert _peak(functools.partial(gce_many, p, all_configs())) <= 1.6 * p.probs.nbytes
 
     def test_tied_full_view_peak_memory(self):
         # Saturated rows tie at every run start, so their views keep the
