@@ -53,20 +53,27 @@ both routes give the same totals to the last bit, where a pairwise sum
 
 Adaptive totals take one of two routes too.  A view without pool labels
 (one pool, or the columns of a matrix) is keyed block by block.  A 1-D view
-is one block, keyed from one sorted copy of its scores,
-``PooledScores.sorted_scores``, which the edges share.  A matrix is cut
-into blocks of whole columns of at most ``BLOCK_ENTRIES`` entries (a single
-column where one holds more), each sorted on its own and freed in turn.  If
-no pool of a block holds a NaN and none has two equal scores on either side
-of an inner run start s (sorted[s - 1] < sorted[s], which also fails for
-0.0 beside -0.0), an entry's stable rank is at least s exactly when its
-score is at least sorted[s].  Its run is then the number of run-start
-scores at or below it, counted by one ``greater_equal`` pass per inner
-start (against a row of start scores for a matrix) into a ``uint8`` count,
-or a wider one past 255 starts.  The passes pay only on blocks of at least
-``COMPARE_MIN_ENTRIES`` entries per pass, and ``MATRIX_PASS_COST`` times as
-many for a matrix; a smaller block, or one with such a tie or a NaN, gives
-the ranks of its stable argsort their runs instead.
+is one block; a matrix is cut into blocks of whole columns of at most
+``BLOCK_ENTRIES`` entries (a single column where one holds more), each keyed
+on its own and freed in turn.  A block of at least ``COMPARE_MIN_ENTRIES``
+entries per inner run start (``MATRIX_PASS_COST`` times as many for a
+matrix) is keyed from float32 proxies of its scores, a C-ordered copy sorted
+per pool.  Rounding to float32 is monotone, so where the sorted proxies p
+differ on either side of an inner run start s (p[s - 1] < p[s]), an entry's
+stable rank is at least s exactly when its proxy is at least p[s].  Where
+they tie, the float64 scores of the tied group, the entries whose proxy is
+p[s], are partitioned at the start's rank r within the group: if g[r - 1] <
+g[r], the group's entries below g[r] are fixed, one run down; else the
+scores tie in float64 too (0.0 beside -0.0 does), and the block takes the
+argsort.  A group whose ranks r - 1 and r hold the proxy's own value, as the
+exact zeros of saturated rows do, is found tied by counting, without a copy.
+Each tied proxy of a pool is refined once, for all the starts it spans.  An entry's run is then the number of start proxies at or below its
+own, less its fixes, counted by one ``greater_equal`` pass per inner start
+(against a row of start proxies for a matrix) into a ``uint8`` count, or a
+wider one past 255 starts.  A block with such a float64 tie or a NaN (which
+sorts last) takes the stable argsort at once, and a block too small for the
+passes its ``PooledScores.order``; the ranks of either take their runs.  A
+matrix block sorts a contiguous float64 copy, made only then.
 
 The keys of such a view take the narrowest unsigned type that holds them:
 ``uint8`` for one pool at up to 256 bins, ``uint16`` while bin counts times
@@ -79,14 +86,17 @@ of a whole matrix is built.  Views with pool labels take
 ``PooledScores.order``, the stable sort by (pool, score), and scatter its
 runs.
 
-A stable argsort is several times slower than numpy's default one, so a
-view without per-entry pool labels whose pools hold no two equal scores
-(the sorted copy shows it) is ordered by the default argsort: with distinct
-keys the sorting permutation is unique, so the order is the same array.
-Adaptive edges read their boundary scores from the view's sorted copy,
-which a matrix makes only for them; only when both are zeros, whose signs
-the sorted copy may hold in another order, do they come through
-``order``.
+A stable argsort is several times slower than numpy's default one, so the
+``order`` of a view without per-entry pool labels whose pools hold no two
+equal scores (its sorted copy shows it) comes from the default argsort: with
+distinct keys the sorting permutation is unique, so the order is the same
+array.  A 1-D view whose adaptive check found a float64 tie or a NaN skips
+that test and caches its stable argsort as its ``order``.  So a view keyed
+by the passes or so sorted has no float64 sorted copy made:
+``PooledScores.sorted_scores`` serves the test in ``order`` and the adaptive
+edges of the reports, which read their boundary scores from it.  Only when
+both boundary scores are zeros, whose signs the sorted copy may hold in
+another order, do the edges come through ``order``.
 """
 
 from __future__ import annotations
@@ -108,22 +118,26 @@ SPLIT_EVEN_MIN_LOW = 4_000
 # it stacks; a larger view keys its bin counts one at a time.
 STACK_ENTRIES = 1 << 16
 # Adaptive keys of a view without pool labels come from one comparison pass
-# per inner run start when the view holds at least this many entries per
-# pass, else from the argsort.  The routes broke even near 200 entries per
-# pass on 1-D views of 1,500 to 6,000 entries.
+# of float32 proxies per inner run start when the view holds at least this
+# many entries per pass, else from the argsort.  On softmax scores of fresh
+# views the routes broke even near 200 to 250 entries per pass at 3,000 and
+# 6,000 entries; at 1,500 the passes were 1.09-1.37x slower than the argsort
+# from 100 to 375 entries per pass.
 COMPARE_MIN_ENTRIES = 256
-# A matrix's pass compares against a broadcast row of start scores, which
+# A matrix's pass compares against a broadcast row of start proxies, which
 # costs more per entry, so a matrix needs this many times as many entries per
-# pass.  Its columns broke even near 1,000 entries per pass at 3,000 × 10 and
-# 150 × 100 (B = 30); at 350 to 520 per pass (1,000 and 1,500 × 10, B = 30)
-# the passes were 1.35x slower than the argsort.
+# pass.  Its columns broke even near 800 entries per pass at 3,000 × 10, 450
+# at 150 × 100, 530 at 1,000 × 10 and 600 at 1,500 × 10 (B = 7 to 45); at
+# 1,034 per pass (3,000 × 10, B = 30) the passes took 0.85x the argsort's
+# time, and at 341 to 345 per pass (B = 30 and 45) 1.12-1.48x.
 MATRIX_PASS_COST = 4
 # Adaptive keys of a matrix without pool labels are made a block of whole
 # columns of at most this many entries at a time, each block sorted on its
 # own, so no sorted copy or run count of the whole matrix lies beside the
-# keys.  A block holds about 18 bytes an entry (two float copies, a count
-# and a mask).  At K = 1000, blocks of 2^17 ran 2-10% faster and blocks of
-# 2^14 20-35% slower than these.
+# keys.  A block on the passes holds about 10 bytes an entry (the proxies,
+# their sorted copy, a count and a mask), one on the argsort 16 (a float64
+# copy and its order).  At K = 1000, blocks of 2^17 ran 2-10% faster and
+# blocks of 2^14 20-35% slower than these, with float64 passes.
 BLOCK_ENTRIES = 1 << 16
 # Entries per cumsum in _sequential_sum, which bounds its temporary.
 _SUM_CHUNK = 1 << 16
@@ -210,8 +224,10 @@ class PooledScores:
         """``np.sort(scores, axis=0)``, made once, on first use.
 
         Only a view without ``pools`` reads it: its one pool sorted, or each
-        column of a matrix.  Equal scores may lie in either order, so 0.0 and
-        -0.0 need not sit where the stable sort puts them.
+        column of a matrix.  The adaptive edges read their boundary scores
+        from it, and ``order`` tests it for distinct scores; a view keyed
+        by the compare passes never makes it.  Equal scores may lie in either order, so 0.0 and -0.0 need
+        not sit where the stable sort puts them.
         """
         return np.sort(self.scores, axis=0)
 
@@ -224,7 +240,10 @@ class PooledScores:
 
         Without ``pools``, scores that sort strictly increasing in every pool
         (no ties, NaN or 0.0 beside -0.0) have one sorting permutation, so
-        the faster default argsort returns the stable sort's array.
+        the faster default argsort returns the stable sort's array.  A 1-D
+        view whose adaptive keys found a float64 tie across a run start or a
+        NaN has this cached from its stable argsort instead, without the
+        sorted copy that test needs.
         """
         if self.pools is None:
             s = self.sorted_scores
@@ -282,13 +301,19 @@ def _keyed_totals(
     """
     shape = (len(bins), view.n_pools, top)
     size = len(bins) * view.n_pools * top
-    counts = _padded_counts(view.sizes, bins, top) if kind == "adaptive" else None
+    counts = None
+    if kind == "adaptive":
+        # The pools of a view without pool labels are of one size: its keys
+        # read one pool's counts, and the rest are made after the keys.
+        counts = _padded_counts(view.sizes[:1] if view.pools is None else view.sizes, bins, top)
     keys = _stacked_keys(view, kind, bins, top, counts)
     weights = view.scores.ravel()
     if len(bins) > 1:
         weights = np.tile(weights, len(bins))
     if counts is None:
         counts = np.bincount(keys.ravel(), minlength=size).reshape(shape)
+    elif counts.shape != shape:
+        counts = np.repeat(counts, view.n_pools, axis=1)
     conf_sums = np.zeros(size)
     np.add.at(conf_sums, keys.ravel(), weights)
     return (
@@ -349,11 +374,11 @@ def _unlabelled_keys(
 
     ``counts[j]`` holds the run lengths, padded to ``top``, that every pool
     takes under ``bins[j]``.  The keys take the narrowest unsigned type that
-    holds them.  A 1-D view is keyed as one block, so its sorted copy and
-    order stay cached for the edges.  A matrix is keyed in blocks of whole
-    columns, as even as may be and of at most ``BLOCK_ENTRIES`` entries
-    unless one column holds more; each block is a view of its own, sorted
-    and freed in turn.
+    holds them.  A 1-D view is keyed as one block, so its order, where one
+    is made, stays cached for the edges.  A matrix is keyed in blocks of
+    whole columns, as even as may be and of at most ``BLOCK_ENTRIES``
+    entries unless one column holds more; each block is a view of its own,
+    sorted and freed in turn.
     """
     m, n_pools = len(bins), view.n_pools
     keys = np.empty((m,) + view.scores.shape, dtype=np.min_scalar_type(m * n_pools * top - 1))
@@ -363,8 +388,7 @@ def _unlabelled_keys(
         return keys
     width = -(-n_pools // -(-view.scores.size // BLOCK_ENTRIES))
     for c in range(0, n_pools, width):
-        # A contiguous copy: the passes compare it about 1.4x as fast.
-        block = np.ascontiguousarray(view.scores[:, c:c + width])
+        block = view.scores[:, c:c + width]
         _block_keys(PooledScores(block, view.hits[:0], None, block.shape[1]), bins,
                     keys[..., c:c + width], offsets[:, c:c + width], counts)
     return keys
@@ -378,13 +402,22 @@ def _block_keys(
 
     ``offsets[j]`` is the key of run 0 of each pool under ``bins[j]``, and
     ``counts[j]`` the padded run lengths of every pool.  The runs come from
-    :func:`_compared_runs` where :func:`_run_starts` allows it, else from
-    the stable ``order``, whose ranks take the runs in turn.
+    :func:`_compared_runs` where :func:`_run_starts` and
+    :func:`_proxy_passes` allow it, else from the stable ``order``, whose
+    ranks take the runs in turn.  A column block of a matrix is sorted as a
+    contiguous copy, which sorts faster than the strided block.
     """
     starts = _run_starts(view, bins)
-    if starts is not None:
-        _compared_runs(view, starts, out, offsets)
+    passes = None if starts is None else _proxy_passes(view.scores, starts)
+    if passes is not None:
+        _compared_runs(*passes, out, offsets)
         return
+    if view.scores.ndim == 2:
+        view = PooledScores(np.ascontiguousarray(view.scores), view.hits, None, view.n_pools)
+    if starts is not None and "order" not in view.__dict__:
+        # A NaN or a float64 tie across a start was found: the stable sort,
+        # cached as ``order`` caches it, without its test for distinct scores.
+        view.__dict__["order"] = np.argsort(view.scores, axis=0, kind="stable")
     m, top = counts.shape
     runs = np.repeat(np.tile(np.arange(top, dtype=out.dtype), m), counts.ravel())
     shape = (m, view.scores.shape[0]) + (1,) * (view.scores.ndim - 1)
@@ -398,14 +431,13 @@ def _block_keys(
 
 
 def _run_starts(view: PooledScores, bins: tuple[int, ...]) -> list[np.ndarray] | None:
-    """Each bin count's inner run starts if they can key ``view``, else None.
+    """Each bin count's inner run starts if the passes pay on ``view``, else None.
 
-    They can for a view without pool labels that holds at least
+    They pay on a view without pool labels that holds at least
     ``COMPARE_MIN_ENTRIES`` entries per start (counting one start where
-    there is none; ``MATRIX_PASS_COST`` times as many for a matrix), no NaN,
-    and in no pool two equal scores on either side of a start.  Only the
-    first min(B, n) runs of a pool of n are filled, so a start at the pool's
-    end begins an empty run and is left out.
+    there is none; ``MATRIX_PASS_COST`` times as many for a matrix).  Only
+    the first min(B, n) runs of a pool of n are filled, so a start at the
+    pool's end begins an empty run and is left out.
     """
     n = view.scores.shape[0]
     if n == 0:
@@ -414,39 +446,87 @@ def _run_starts(view: PooledScores, bins: tuple[int, ...]) -> list[np.ndarray] |
     cost = MATRIX_PASS_COST if view.scores.ndim == 2 else 1
     if view.scores.size < COMPARE_MIN_ENTRIES * cost * max(passes, 1):
         return None
-    starts = [np.cumsum(adaptive_counts(n, b))[:min(b, n) - 1] for b in bins]
+    return [np.cumsum(adaptive_counts(n, b))[:min(b, n) - 1] for b in bins]
+
+
+def _proxy_passes(
+    scores: np.ndarray, starts: list[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray], list[list]] | None:
+    """What :func:`_compared_runs` keys ``scores`` with, or None if it cannot.
+
+    Returns the float32 proxies of ``scores`` in C order, each bin count's
+    start proxies (a row of them per start for a matrix) and each bin
+    count's fixes: ``(column, rows)`` pairs of the entries whose proxy
+    reaches a start's proxy while their score lies below the start's score.
+    None where a pool holds a NaN, or ties across a start in float64 too.
+    The module docstring gives the rule.
+    """
     every = np.concatenate(starts)
-    if every.size:
-        s = view.sorted_scores  # NaN sorts last
-        if np.isnan(s[-1]).any() or not (s[every - 1] < s[every]).all():
+    if not every.size:  # one run in every pool: no pass
+        return scores, [scores[:0]] * len(starts), [[] for _ in starts]
+    with np.errstate(over="ignore"):  # beyond the float32 range: +-inf, still monotone
+        proxy = scores.astype(np.float32, order="C")
+    s = np.sort(proxy, axis=0)  # NaN sorts last
+    if np.isnan(s[-1]).any():
+        return None
+    limits = [s[at] for at in starts]
+    n = len(s)
+    exact, columns, s = scores.reshape(n, -1), proxy.reshape(n, -1), s.reshape(n, -1)
+    differ = s[every - 1] < s[every]
+    fixes = [[] for _ in starts]
+    bin_of = np.repeat(np.arange(len(starts)), [at.size for at in starts])
+    while not differ.all():  # one tied (column, proxy) group at a time, all its starts at once
+        c = differ.argmin() % differ.shape[1]
+        tied = np.flatnonzero(~differ[:, c])
+        value = s[every[tied[0]], c]
+        tied = tied[s[every[tied], c] == value]
+        differ[tied, c] = True
+        proxies, col_scores = columns[:, c], exact[:, c]
+        below = np.count_nonzero(proxies < value)
+        r = every[tied] - below  # each start's rank within the group
+        # Where the proxy's own value fills ranks r - 1 and r of the group, as
+        # the exact zeros of saturated rows do, the start ties in float64:
+        # found by counting, without a copy of the group.
+        under = np.count_nonzero(col_scores < value) - below
+        if ((under < r) & (r < under + np.count_nonzero(col_scores == value))).any():
             return None
-    return starts
+        rows = np.flatnonzero(proxies == value)
+        group = col_scores[rows]
+        ranked = np.partition(group, np.concatenate([r - 1, r]))  # not a sort: a group may be large
+        if not (ranked[r - 1] < ranked[r]).all():
+            return None
+        for j, limit in zip(bin_of[tied], ranked[r]):
+            fixes[j].append((c, rows[group < limit]))
+    return proxy, limits, fixes
 
 
 def _compared_runs(
-    view: PooledScores, starts: list[np.ndarray], out: np.ndarray, offsets: np.ndarray
+    proxy: np.ndarray, limits: list[np.ndarray], fixes: list[list], out: np.ndarray,
+    offsets: np.ndarray,
 ) -> None:
     """Write the key of every entry's adaptive run under each bin count into ``out``.
 
-    ``starts`` comes from :func:`_run_starts`.  With no tie across a start,
-    an entry's stable rank reaches a start exactly when its score reaches
-    the start's score, so its run is the number of start scores at or below
-    it: one comparison pass per start, against a row of scores per column
-    of a matrix, counted in the narrowest unsigned type that holds it.  The
-    pools' ``offsets`` are added once; a count of the keys' own type is made
-    in place, from the offsets.
+    The arguments but the last two come from :func:`_proxy_passes`.  An
+    entry's run is the number of start proxies at or below its proxy, less
+    its fixes: one comparison pass per start, against a row of proxies per
+    column of a matrix, counted in the narrowest unsigned type that holds
+    it.  The pools' ``offsets`` are added once; a count of the keys' own
+    type is made in place, from the offsets.
     """
-    reached = np.empty_like(view.scores, dtype=bool)
-    for row, at, off in zip(out, starts, offsets):
-        count = np.min_scalar_type(at.size)
+    reached = np.empty_like(proxy, dtype=bool)
+    for row, thresholds, fixed, off in zip(out, limits, fixes, offsets):
+        count = np.min_scalar_type(len(thresholds))
         if count == out.dtype:
             runs = row
             runs[...] = off
         else:
-            runs = np.zeros_like(view.scores, dtype=count)
-        for threshold in view.sorted_scores[at]:
-            np.greater_equal(view.scores, threshold, out=reached)
+            runs = np.zeros_like(proxy, dtype=count)
+        for threshold in thresholds:
+            np.greater_equal(proxy, threshold, out=reached)
             np.add(runs, reached.view(np.uint8), out=runs)
+        cells = runs.reshape(len(runs), -1)
+        for c, rows in fixed:
+            cells[rows, c] -= 1
         if runs is not row:
             np.add(runs, off, out=row)
 
