@@ -51,9 +51,9 @@ both routes give the same totals to the last bit, where a pairwise sum
 (numpy's 1-D ``add.reduce``, even with ``where``) would move the last of the
 17 digits the CLI prints.
 
-Adaptive totals take one of two routes too.  A view without pool labels
-(one pool, or the columns of a matrix) is keyed block by block.  A 1-D view
-is one block; a matrix is cut into blocks of whole columns of at most
+Adaptive totals take one of two routes too.  A view without pool labels (one
+pool, or the columns of a matrix) is keyed block by block.  A 1-D view is
+one block; a matrix is cut into blocks of whole columns of at most
 ``BLOCK_ENTRIES`` entries (a single column where one holds more), each keyed
 on its own and freed in turn.  A block of at least ``COMPARE_MIN_ENTRIES``
 entries per inner run start (``MATRIX_PASS_COST`` times as many for a
@@ -65,15 +65,19 @@ they tie, the float64 scores of the tied group, the entries whose proxy is
 p[s], are partitioned at the start's rank r within the group: if g[r - 1] <
 g[r], the group's entries below g[r] are fixed, one run down; else the
 scores tie in float64 too (0.0 beside -0.0 does), and the block takes the
-argsort.  A group whose ranks r - 1 and r hold the proxy's own value, as the
-exact zeros of saturated rows do, is found tied by counting, without a copy.
-Each tied proxy of a pool is refined once, for all the starts it spans.  An entry's run is then the number of start proxies at or below its
-own, less its fixes, counted by one ``greater_equal`` pass per inner start
-(against a row of start proxies for a matrix) into a ``uint8`` count, or a
-wider one past 255 starts.  A block with such a float64 tie or a NaN (which
-sorts last) takes the stable argsort at once, and a block too small for the
-passes its ``PooledScores.order``; the ranks of either take their runs.  A
-matrix block sorts a contiguous float64 copy, made only then.
+argsort.  A group of more than an eighth of its pool, as the exact zeros of
+saturated rows are, is counted first, without a copy: where its ranks r - 1
+and r hold the proxy's own value, the start ties.  Each tied proxy of a pool
+is refined once, for all the starts it spans, by one scan for its members.
+An entry's run is then the number of start proxies at or below its own, less
+its fixes, counted by one ``greater_equal`` pass per inner start (against a
+row of start proxies for a matrix) into a ``uint8`` count, or a wider one
+past 255 starts.  A 1-D view whose float64 sorted copy is already made is
+its own proxy: its scores are compared, and tie only where they are equal.
+A block with a float64 tie or a NaN (which sorts last) takes the stable
+argsort at once, and a block too small for the passes its
+``PooledScores.order``; the ranks of either take their runs.  A matrix block
+sorts a contiguous float64 copy, made only then.
 
 The keys of such a view take the narrowest unsigned type that holds them:
 ``uint8`` for one pool at up to 256 bins, ``uint16`` while bin counts times
@@ -91,12 +95,16 @@ A stable argsort is several times slower than numpy's default one, so the
 equal scores (its sorted copy shows it) comes from the default argsort: with
 distinct keys the sorting permutation is unique, so the order is the same
 array.  A 1-D view whose adaptive check found a float64 tie or a NaN skips
-that test and caches its stable argsort as its ``order``.  So a view keyed
-by the passes or so sorted has no float64 sorted copy made:
-``PooledScores.sorted_scores`` serves the test in ``order`` and the adaptive
-edges of the reports, which read their boundary scores from it.  Only when
-both boundary scores are zeros, whose signs the sorted copy may hold in
-another order, do the edges come through ``order``.
+that test and caches its stable argsort as its ``order``.  The float64
+sorted copy, ``PooledScores.sorted_scores``, serves that test and the
+adaptive edges of the reports, which read their boundary scores from it.
+Scores alone (:func:`calerr.metrics.gce`) make it only for a view that
+takes ``order``.  The reports (:func:`calerr.metrics.gce_with_bins`) make
+it first for a 1-D view, whose keys then compare its scores, so one sort
+serves keys and edges; a matrix's edges sort it on their own, as its
+blocks key apart from it.  Only when both boundary scores are zeros, whose
+signs the sorted copy may hold in another order, do the edges come through
+``order``.
 """
 
 from __future__ import annotations
@@ -225,9 +233,12 @@ class PooledScores:
 
         Only a view without ``pools`` reads it: its one pool sorted, or each
         column of a matrix.  The adaptive edges read their boundary scores
-        from it, and ``order`` tests it for distinct scores; a view keyed
-        by the compare passes never makes it.  Equal scores may lie in either order, so 0.0 and -0.0 need
-        not sit where the stable sort puts them.
+        from it, and ``order`` tests it for distinct scores.  A 1-D view
+        keyed by the compare passes compares its scores where this is made
+        already, as the reports make it for their edges, and its float32
+        proxies otherwise, without making it.  Equal scores may lie in
+        either order, so 0.0 and -0.0 need not sit where the stable sort
+        puts them.
         """
         return np.sort(self.scores, axis=0)
 
@@ -242,8 +253,8 @@ class PooledScores:
         (no ties, NaN or 0.0 beside -0.0) have one sorting permutation, so
         the faster default argsort returns the stable sort's array.  A 1-D
         view whose adaptive keys found a float64 tie across a run start or a
-        NaN has this cached from its stable argsort instead, without the
-        sorted copy that test needs.
+        NaN has this cached from its stable argsort instead, without that
+        test.
         """
         if self.pools is None:
             s = self.sorted_scores
@@ -408,7 +419,7 @@ def _block_keys(
     contiguous copy, which sorts faster than the strided block.
     """
     starts = _run_starts(view, bins)
-    passes = None if starts is None else _proxy_passes(view.scores, starts)
+    passes = None if starts is None else _proxy_passes(view, starts)
     if passes is not None:
         _compared_runs(*passes, out, offsets)
         return
@@ -450,23 +461,30 @@ def _run_starts(view: PooledScores, bins: tuple[int, ...]) -> list[np.ndarray] |
 
 
 def _proxy_passes(
-    scores: np.ndarray, starts: list[np.ndarray]
+    view: PooledScores, starts: list[np.ndarray]
 ) -> tuple[np.ndarray, list[np.ndarray], list[list]] | None:
-    """What :func:`_compared_runs` keys ``scores`` with, or None if it cannot.
+    """What :func:`_compared_runs` keys ``view`` with, or None if it cannot.
 
-    Returns the float32 proxies of ``scores`` in C order, each bin count's
-    start proxies (a row of them per start for a matrix) and each bin
-    count's fixes: ``(column, rows)`` pairs of the entries whose proxy
-    reaches a start's proxy while their score lies below the start's score.
-    None where a pool holds a NaN, or ties across a start in float64 too.
-    The module docstring gives the rule.
+    Returns the proxies of the view's scores, each bin count's start
+    proxies (a row of them per start for a matrix) and each bin count's
+    fixes: ``(column, rows)`` pairs of the entries whose proxy reaches a
+    start's proxy while their score lies below the start's score.  The
+    proxies are a float32 copy in C order, or the scores themselves where
+    their ``sorted_scores`` is already made, as the reports make it for
+    their edges; those tie only where the scores do.  None where a pool
+    holds a NaN, or ties across a start in float64.  The module docstring
+    gives the rule.
     """
+    scores = view.scores
     every = np.concatenate(starts)
     if not every.size:  # one run in every pool: no pass
         return scores, [scores[:0]] * len(starts), [[] for _ in starts]
-    with np.errstate(over="ignore"):  # beyond the float32 range: +-inf, still monotone
-        proxy = scores.astype(np.float32, order="C")
-    s = np.sort(proxy, axis=0)  # NaN sorts last
+    if "sorted_scores" in view.__dict__:
+        proxy, s = scores, view.sorted_scores
+    else:
+        with np.errstate(over="ignore"):  # beyond the float32 range: +-inf, still monotone
+            proxy = scores.astype(np.float32, order="C")
+        s = np.sort(proxy, axis=0)  # NaN sorts last
     if np.isnan(s[-1]).any():
         return None
     limits = [s[at] for at in starts]
@@ -481,15 +499,16 @@ def _proxy_passes(
         value = s[every[tied[0]], c]
         tied = tied[s[every[tied], c] == value]
         differ[tied, c] = True
-        proxies, col_scores = columns[:, c], exact[:, c]
-        below = np.count_nonzero(proxies < value)
+        proxies, col_scores, col_sorted = columns[:, c], exact[:, c], s[:, c]
+        below = np.searchsorted(col_sorted, value)
         r = every[tied] - below  # each start's rank within the group
-        # Where the proxy's own value fills ranks r - 1 and r of the group, as
-        # the exact zeros of saturated rows do, the start ties in float64:
-        # found by counting, without a copy of the group.
-        under = np.count_nonzero(col_scores < value) - below
-        if ((under < r) & (r < under + np.count_nonzero(col_scores == value))).any():
-            return None
+        if 8 * (np.searchsorted(col_sorted, value, "right") - below) > n:
+            # A group this large, as the exact zeros of saturated rows are, is
+            # counted before it is copied: where the proxy's own value fills
+            # its ranks r - 1 and r, the start ties in float64.
+            under = np.count_nonzero(col_scores < value) - below
+            if ((under < r) & (r < under + np.count_nonzero(col_scores == value))).any():
+                return None
         rows = np.flatnonzero(proxies == value)
         group = col_scores[rows]
         ranked = np.partition(group, np.concatenate([r - 1, r]))  # not a sort: a group may be large

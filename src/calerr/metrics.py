@@ -219,6 +219,8 @@ def gce_with_bins(
     """
     view = _pooled_view(p, cfg)
     bins = (cfg.binning.n_bins,)
+    if cfg.binning.kind == "adaptive" and view.pools is None and view.scores.ndim == 1:
+        view.sorted_scores  # the edges read it; made first, the keys read it too
     totals = bin_totals(view, cfg.binning.kind, bins)
     out: list[BinStats] = []
     for k, pool in enumerate(pool_bin_stats(view, cfg.binning, [t[0] for t in totals])):

@@ -20,6 +20,7 @@ from calerr import (
     all_configs,
     gce,
     gce_many,
+    gce_with_bins,
     row_softmax,
 )
 from calerr import binning
@@ -894,6 +895,51 @@ class TestAdaptiveRoutes:
         monkeypatch.setattr(binning, "COMPARE_MIN_ENTRIES", 0)
         assert_same_totals(bin_totals(_fresh(view), "adaptive", (2,)),
                            reference_adaptive_totals(view, (2,)))
+
+    @pytest.mark.parametrize("flaw", [None, "equal"])
+    def test_sorted_view_compares_its_scores(self, monkeypatch, flaw):
+        # A 1-D view whose float64 sorted copy is made compares its own
+        # scores: its float32 clusters need no fixes, and a float64 tie
+        # across a run start (B = 15) still takes the argsort.
+        scores = _proxy_tie_matrix().ravel()
+        if flaw == "equal":
+            lo, hi = np.argsort(scores, kind="stable")[[239, 240]]
+            scores[hi] = scores[lo]
+        view = PooledScores(scores, np.flatnonzero(scores > 0.5), None, 1)
+        view.sorted_scores
+        seen = []
+        proxy_passes = binning._proxy_passes
+
+        def spy(v, starts):
+            passes = proxy_passes(v, starts)
+            seen.append(None if passes is None else
+                        (passes[0] is v.scores, sum(len(fixed) for fixed in passes[2])))
+            return passes
+
+        monkeypatch.setattr(binning, "COMPARE_MIN_ENTRIES", 0)
+        monkeypatch.setattr(binning, "_proxy_passes", spy)
+        got = bin_totals(view, "adaptive", (15,))
+        assert seen == ([None] if flaw else [(True, 0)])
+        assert_same_totals(got, reference_adaptive_totals(view, (15,)))
+        edges = binning._midpoint_edges(view, 15)
+        _, want, want_stats = _on_route(monkeypatch, "argsort", view, (15,))
+        assert_same_totals(got, want)
+        assert edges.tobytes() == want_stats[0]
+
+    def test_reports_key_a_flat_view_from_its_sorted_copy(self, monkeypatch):
+        # The edges of gce_with_bins read a flat view's float64 sorted copy,
+        # so it is made first and the keys compare the scores, not proxies.
+        rng = np.random.default_rng(0)
+        p = PredictionSet(row_softmax(3.0 * rng.standard_normal((200, 1000))),
+                          rng.integers(0, 1000, 200))
+        seen = []
+        proxy_passes = binning._proxy_passes
+        monkeypatch.setattr(binning, "_proxy_passes", lambda v, starts: seen.append(
+            "sorted_scores" in v.__dict__) or proxy_passes(v, starts))
+        for index in (28, 29):
+            cfg = all_configs(15)[index]
+            assert gce_with_bins(p, cfg)[0] == gce(p, cfg)
+        assert seen == [True, False, True, False]
 
     def test_full_view_peak_memory(self):
         # Narrow keys, and a matrix keyed block by block: no N·K intp array,
