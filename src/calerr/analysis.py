@@ -11,13 +11,12 @@ of scope.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .binning import DEFAULT_BINS
-from .metrics import AXES, MetricConfig, all_configs, gce_many, named_metric
+from .metrics import AXES, MetricConfig, all_configs, gce_table, named_metric
 from .optimize import SgdConfig, sgd_minimize
 from .predictions import LogitSet, PredictionSet, max_prob_view, row_softmax
 from .recalibrate import (
@@ -33,17 +32,27 @@ RANK_VARIANTS = ("spearman", "footrule")
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, lowest value first; ties share the average position; NaN raises."""
+    """1-based ranks, lowest value first; ties share the average position; NaN raises.
+
+    An array of more than one axis is ranked along its last axis, each row
+    on its own.
+    """
     v = np.asarray(values, dtype=float)
     if np.isnan(v).any():
         raise ValueError("cannot rank NaN values")
-    order = np.argsort(v, kind="stable")
-    s = v[order]
-    # A run of equal values at sorted positions [start, end) shares their mean.
-    bounds = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
-    starts, ends = bounds[:-1], bounds[1:]
-    ranks = np.empty(len(s))
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    order = np.argsort(v, axis=-1, kind="stable")
+    s = np.take_along_axis(v, order, axis=-1)
+    # Sorted position i lies in a run of equal values at positions
+    # [starts[i], ends[i]), which shares their mean.
+    at = np.arange(v.shape[-1])
+    first = np.ones(s.shape, dtype=bool)
+    first[..., 1:] = s[..., 1:] != s[..., :-1]
+    last = np.roll(first, -1, axis=-1)
+    last[..., -1:] = True
+    starts = np.maximum.accumulate(np.where(first, at, 0), axis=-1)
+    ends = np.minimum.accumulate(np.where(last, at + 1, at.size)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(v.shape)
+    np.put_along_axis(ranks, order, (starts + 1 + ends) / 2.0, axis=-1)
     return ranks
 
 
@@ -64,10 +73,15 @@ def rank_correlation(r1, r2, variant: str = "spearman") -> float:
             f"rank vectors must be equal-length 1-D with n >= 2, got shapes "
             f"{a.shape} and {b.shape}"
         )
-    n = a.shape[0]
+    return float(_correlations(a, b, variant))
+
+
+def _correlations(a: np.ndarray, b: np.ndarray, variant: str) -> np.ndarray:
+    """:func:`rank_correlation` of each pair of rows of ``a`` and ``b`` (last axis)."""
+    n = a.shape[-1]
     d = a - b
-    magnitude = np.sum(d * d) if variant == "spearman" else np.sum(np.abs(d))
-    return float(1.0 - 6.0 * magnitude / (n * (n * n - 1)))
+    magnitude = np.sum(d * d if variant == "spearman" else np.abs(d), axis=-1)
+    return 1.0 - 6.0 * magnitude / (n * (n * n - 1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,19 +130,19 @@ def bin_sensitivity_sweep(
     elif len(method_names) != len(recalibrated):
         raise ValueError("method_names must parallel the recalibrated sets")
     configs = [cfg for b in bins for cfg in all_configs(b)]
-
-    def score_grid(q: PredictionSet) -> np.ndarray:  # (variant, bin count)
-        values = [score.value for score in gce_many(q, configs)]
-        return np.array(values).reshape(len(bins), -1).T
-
-    scores = np.stack([score_grid(rp) for rp in recalibrated], axis=-1)
-    baseline = score_grid(p) if p is not None else None
-    ranks = np.apply_along_axis(average_ranks, -1, scores)
-    pairs = list(itertools.combinations(range(len(bins)), 2))
-    mean_corr = np.array([
-        np.mean([rank_correlation(r[a], r[b], variant) for a, b in pairs] or [1.0])
-        for r in ranks
-    ])
+    sets = [*recalibrated, *([p] if p is not None else [])]
+    # (set, bin count, variant) -> (variant, bin count, set)
+    table = gce_table(sets, configs).reshape(len(sets), len(bins), -1).transpose(2, 1, 0)
+    scores = np.ascontiguousarray(table[:, :, :len(recalibrated)])
+    baseline = table[:, :, -1].copy() if p is not None else None
+    ranks = average_ranks(scores)
+    first, second = np.triu_indices(len(bins), 1)  # every pair of bin counts
+    if first.size:
+        # Row by row: a 1-D mean sums pairwise, a mean along an axis in order.
+        correlations = _correlations(ranks[:, first], ranks[:, second], variant)
+        mean_corr = np.array([np.mean(row) for row in correlations])
+    else:
+        mean_corr = np.ones(len(ranks))
 
     group: dict[str, dict[str, float]] = {}
     axis_tuples = [cfg.axis_tuple() for cfg in all_configs()]
@@ -193,11 +207,8 @@ def rank_methods(
     configs = tuple(configs)
     if not configs:
         raise ValueError("configs list must be non-empty")
-    scores = np.array([
-        [score.value for score in gce_many(recalibrated[name], configs)]
-        for name in methods
-    ])
-    ranks = np.apply_along_axis(average_ranks, 0, scores)
+    scores = gce_table([recalibrated[name] for name in methods], configs)
+    ranks = average_ranks(scores.T).T
     best_first = np.argsort(scores, axis=0, kind="stable").T
     order = tuple(tuple(methods[m] for m in column) for column in best_first)
     return RankTable(
@@ -286,7 +297,7 @@ def label_noise_experiment(
 
     named = [named_metric(name, n_bins) for name in ("ECE", "SCE", "ACE")]
 
-    results = []
+    sets, rows = [], []
     for idx, level in enumerate(levels):
         rng = np.random.default_rng(children[1 + idx])
         yt = _corrupt_labels(y_train, level, n_classes, rng)
@@ -305,20 +316,22 @@ def label_noise_experiment(
         non_max = np.ones_like(probs, dtype=bool)
         non_max[np.arange(n_test), view.class_index] = False
         omitted = float(np.count_nonzero(probs[non_max] > threshold) / non_max.sum())
-        ece, sce, ace = (score.value for score in gce_many(p, named))
+        sets.append(p)
+        rows.append((level, float(np.mean(view.correct)), float(np.mean(view.scores)), omitted))
 
-        results.append(
-            NoiseLevelResult(
-                noise=level,
-                accuracy=float(np.mean(view.correct)),
-                mean_max_confidence=float(np.mean(view.scores)),
-                ece=ece,
-                sce=sce,
-                ace=ace,
-                omitted_fraction=omitted,
-            )
+    scores = gce_table(sets, named).tolist()
+    return [
+        NoiseLevelResult(
+            noise=level,
+            accuracy=accuracy,
+            mean_max_confidence=confidence,
+            ece=ece,
+            sce=sce,
+            ace=ace,
+            omitted_fraction=omitted,
         )
-    return results
+        for (level, accuracy, confidence, omitted), (ece, sce, ace) in zip(rows, scores)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from .metrics import (
     NAMED_METRICS,
     MetricConfig,
     all_configs,
-    gce,
     gce_many,
+    gce_table,
     gce_with_bins,
     metric_index,
 )
@@ -189,8 +189,7 @@ def cmd_recalibrate(args) -> int:
         print(f"temperature: {format_float(model.temperature)} "
               f"converged: {model.converged}")
 
-    before_score = gce(eval_probs, report_cfg).value
-    after_score = gce(after, report_cfg).value
+    before_score, after_score = gce_table([eval_probs, after], [report_cfg])[:, 0].tolist()
     print(f"before: {format_float(before_score)}")
     print(f"after: {format_float(after_score)}")
 

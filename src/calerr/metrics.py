@@ -35,19 +35,24 @@ small standard threshold could not drop it anyway).
 Variants are indexed 0..31 by nesting the axes with binning outermost and
 norm innermost; see :func:`metric_index`.
 
-Scoring runs on arrays.  :func:`gce_many` scores a list of configs in one
-pass.  It groups the configs by score view and then by bin kind.  Each
-distinct view is split into pools once (a
+Scoring runs on arrays.  :func:`gce_table` scores a list of prediction
+sets under a list of configs in one pass.  It groups the configs by score
+view and then by bin kind.  Each distinct view is split into pools once (a
 :class:`calerr.binning.PooledScores`, sorted at most once) and dropped once
-its configs are scored.  One :func:`calerr.binning.bin_totals` call per
-(view, kind) reduces it to per-(bin count, pool, bin) counts, confidence
-sums and correct counts for every bin count its configs ask for, shared
-across norms.  Pool errors and class means are then array operations over
-that whole grid, one per norm, over the classes that hold entries.  Both
-sums run left to right (``cumsum``), so each score has the bits of a
-pool-by-pool Python sum.  :func:`gce` is the one-config case, and
-:func:`gce_with_bins` returns the score with the totals formatted as
-:class:`BinStats`; both run the same path.
+its configs are scored.  Sets of one shape share that view a group at a
+time: their own views are stacked so that every pool keeps its entries in
+their order, class-conditional matrices side by side, single pools of one
+size as the columns of a matrix, and other views end to end under pool
+labels ``set * pools + pool``.  One :func:`calerr.binning.bin_totals` call
+per (view, kind, group) reduces it to per-(bin count, pool, bin) counts,
+confidence sums and correct counts for every bin count its configs ask
+for, shared across norms.  Pool errors and class means are then array
+operations over that whole grid, one per norm; each set's class mean
+covers its own live classes.  Both sums run left to right (``cumsum``), so
+each score has the bits of a pool-by-pool Python sum.  :func:`gce_many` is
+the one-set case, which keeps each score's per-class errors, :func:`gce`
+the one-config case, and :func:`gce_with_bins` returns the score with the
+totals formatted as :class:`BinStats`; all run the same path.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import binning
 from .binning import (
     BIN_KINDS,
     DEFAULT_BINS,
@@ -228,7 +234,8 @@ def gce_with_bins(
             out.append(BinStats(0.0, 1.0, 0, 0.0, 0.0, class_index=k))
         else:
             out.extend(pool)
-    return _grid_scores(view, [cfg], bins, totals)[0], out
+    values, per_class = _grid_scores(view, 1, [cfg], bins, totals, classes=True)
+    return CalibrationScore(values[0][0], cfg, None if per_class is None else per_class[0][0]), out
 
 
 def gce(p: PredictionSet, cfg: MetricConfig) -> CalibrationScore:
@@ -252,90 +259,197 @@ def gce_many(
 ) -> list[CalibrationScore]:
     """:func:`gce` of each config, in order, scored in one pass.
 
-    Configs that agree on max_probs, class_conditional and the threshold (a
-    max-prob view ignores it) share one score view and its sort; views are
-    built in the order of their first configs, and each is dropped once its
-    configs are scored.  All bin counts of one kind share one
-    :func:`calerr.binning.bin_totals` call, and l1 and l2 its totals.  Each
-    score equals ``gce(p, cfg)`` bit for bit.
+    The one-set case of :func:`gce_table`, with each score's per-class
+    errors.  Each score equals ``gce(p, cfg)`` bit for bit.
     """
-    groups: dict[tuple, dict[str, list[int]]] = {}
-    for i, cfg in enumerate(configs):
+    values, per_class = _score_table([p], configs, classes=True)
+    return [
+        CalibrationScore(value, cfg, errors)
+        for value, cfg, errors in zip(values[0], configs, per_class[0])
+    ]
+
+
+def gce_table(
+    sets: Sequence[PredictionSet], configs: Sequence[MetricConfig]
+) -> np.ndarray:
+    """``gce(sets[i], configs[j]).value`` at ``[i, j]``, scored in one pass.
+
+    Configs that agree on max_probs, class_conditional and the threshold (a
+    max-prob view ignores it) share one score view, built in the order of
+    their first configs and dropped once they are scored.  Sets of one
+    shape are stacked into that view a group at a time (see
+    :func:`_stacked_views`), so all bin counts of one kind on a whole group
+    share one :func:`calerr.binning.bin_totals` call, and l1 and l2 its
+    totals.  Each entry equals ``gce(sets[i], configs[j]).value`` bit for
+    bit.  If a set's thresholded view is empty this raises
+    :class:`EmptyMeasurementError`, as :func:`gce` does.
+    """
+    return np.array(_score_table(sets, configs)[0], dtype=float).reshape(len(sets), len(configs))
+
+
+def _score_table(
+    sets: Sequence[PredictionSet], configs: Sequence[MetricConfig], classes: bool = False
+) -> tuple[list[list[float]], list[list]]:
+    """The scores of :func:`gce_table`, set by set, and each score's per-class errors.
+
+    The per-class errors are made only if ``classes``, which is asked of
+    one set only; else, and for a pooled config, they are None.
+    """
+    views: dict[tuple, dict[str, list[int]]] = {}
+    for j, cfg in enumerate(configs):
         key = (cfg.max_probs, cfg.class_conditional, 0.0 if cfg.max_probs else cfg.threshold)
-        groups.setdefault(key, {}).setdefault(cfg.binning.kind, []).append(i)
-    out: list[CalibrationScore] = [None] * len(configs)
-    for kinds in groups.values():
-        _score_view(p, configs, kinds, out)
-    return out
+        views.setdefault(key, {}).setdefault(cfg.binning.kind, []).append(j)
+    shapes: dict[tuple, list[int]] = {}
+    for i, p in enumerate(sets):
+        shapes.setdefault(p.probs.shape, []).append(i)
+    values = [[0.0] * len(configs) for _ in sets]
+    per_class = [[None] * len(configs) for _ in sets]
+    for kinds in views.values():
+        for members in shapes.values():
+            for rows, view in _stacked_views(sets, members, configs, kinds):
+                for kind, positions in kinds.items():
+                    group = [configs[j] for j in positions]
+                    bins = tuple(dict.fromkeys(cfg.binning.n_bins for cfg in group))
+                    scores, errors = _grid_scores(
+                        view, len(rows), group, bins, bin_totals(view, kind, bins), classes)
+                    for s, i in enumerate(rows):
+                        for j, value in zip(positions, scores[s]):
+                            values[i][j] = value
+                        if errors is not None:
+                            for j, pool_errors in zip(positions, errors[s]):
+                                per_class[i][j] = pool_errors
+    return values, per_class
 
 
-def _score_view(
-    p: PredictionSet,
+def _stacked_views(
+    sets: Sequence[PredictionSet],
+    members: list[int],
     configs: Sequence[MetricConfig],
     kinds: dict[str, list[int]],
-    out: list[CalibrationScore],
-) -> None:
-    """Score ``configs[i]`` into ``out[i]`` for each listed i, all of one view.
+):
+    """Yield ``(positions, view)``: the view of each group of ``sets[members]``.
 
-    ``kinds`` maps a bin kind to the positions of its configs; any of them
-    builds the view.  The view, and the sort it caches, are freed when this
-    returns.
+    The members are of one shape.  The view is that of the configs listed in
+    ``kinds`` (positions in ``configs`` by bin kind), and the grid is the sum
+    of their bin counts.  A set takes up the larger of its view's entries (N·K
+    for a full view, N for a max-prob view, at most that when thresholded)
+    and its pools' bins over the grid, and a group holds as many consecutive
+    sets as keep that below ``SPLIT_EVEN_MIN_LOW``.  So no stacked view
+    takes the split even route, and a group's totals stay about as large as
+    its keys.  A group of one set is that set's own view, with no copy; a
+    group of several stacks its sets' views (:func:`_stack`).  One group's
+    view is dropped before the next one's is built.
     """
-    view = _pooled_view(p, configs[next(iter(kinds.values()))[0]])
-    for kind, positions in kinds.items():
-        group = [configs[i] for i in positions]
-        bins = tuple(dict.fromkeys(cfg.binning.n_bins for cfg in group))
-        scores = _grid_scores(view, group, bins, bin_totals(view, kind, bins))
-        for i, score in zip(positions, scores):
-            out[i] = score
+    cfg = configs[next(iter(kinds.values()))[0]]
+    size = 1
+    if len(members) > 1:
+        grid = sum({configs[j].binning.n_bins for j in itertools.chain(*kinds.values())})
+        n, k = sets[members[0]].probs.shape
+        footprint = max(n if cfg.max_probs else n * k, (k if cfg.class_conditional else 1) * grid)
+        size = max(1, (binning.SPLIT_EVEN_MIN_LOW - 1) // footprint)
+    for start in range(0, len(members), size):
+        rows = members[start:start + size]
+        yield rows, _stack([_pooled_view(sets[i], cfg) for i in rows], cfg)
+
+
+def _stack(parts: list[PooledScores], cfg: MetricConfig) -> PooledScores:
+    """One view of the sets whose own views are ``parts``, set s's pools after set s - 1's.
+
+    Every pool keeps its entries and their order, so every total keeps its
+    bits.  With S sets of P pools each, pool s·P + p is set s's pool p:
+
+    - matrices (the unthresholded class-conditional full view) lie side by
+      side, so column s·K + k is set s's class k;
+    - single pools of one size (the unthresholded pooled full view and the
+      pooled max-prob view) are the columns of an (entries, S) matrix;
+    - any other view lists the sets' entries end to end, with pool labels.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    n_sets, first = len(parts), parts[0]
+    if first.scores.ndim == 2:
+        k = first.n_pools
+        hits = [v.hits // k * (n_sets * k) + s * k + v.hits % k for s, v in enumerate(parts)]
+        return PooledScores(np.hstack([v.scores for v in parts]), np.concatenate(hits),
+                            None, n_sets * k)
+    if first.pools is None and (cfg.max_probs or cfg.threshold == 0.0):
+        hits = [v.hits * n_sets + s for s, v in enumerate(parts)]
+        return PooledScores(np.stack([v.scores for v in parts], axis=1), np.concatenate(hits),
+                            None, n_sets)
+    sizes = [v.scores.size for v in parts]
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
+    pools = [np.full(v.scores.size, s) if v.pools is None else v.pools + s * first.n_pools
+             for s, v in enumerate(parts)]
+    return PooledScores(
+        np.concatenate([v.scores for v in parts]),
+        np.concatenate([v.hits + off for v, off in zip(parts, offsets)]),
+        np.concatenate(pools),
+        n_sets * first.n_pools,
+    )
 
 
 def _grid_scores(
     view: PooledScores,
+    n_sets: int,
     configs: Sequence[MetricConfig],
     bins: tuple[int, ...],
     totals: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> list[CalibrationScore]:
-    """Each config's score from its view's :func:`calerr.binning.bin_totals`.
+    classes: bool = False,
+) -> tuple[list[list[float]], list[list[dict]] | None]:
+    """Each config's score on each of the view's sets, from its :func:`calerr.binning.bin_totals`.
 
-    ``totals`` covers the bin counts ``bins`` of the configs' one bin kind.
+    ``view`` stacks ``n_sets`` sets of equally many pools, and ``totals``
+    covers the bin counts ``bins`` of the configs' one bin kind.  Returns
+    the scores, set by set and config by config, and for class-conditional
+    configs, if ``classes`` (asked of one set only), each score's errors by
+    live class (else None).
     Pool errors and class means are taken for the whole grid at once, and
-    keep the bits of a pool-by-pool sum: padded bins add +0.0 to non-negative
-    terms, and both sums are ``cumsum``, which adds left to right.
+    keep the bits of a pool-by-pool sum: padded bins add +0.0 to
+    non-negative terms, and both sums are ``cumsum``, which adds left to
+    right.  A class with no entries in one set but some in another has the
+    error +0.0 in the first, so it adds nothing to that set's class mean,
+    whose divisor counts only the set's live classes.
     """
     conditional = configs[0].class_conditional  # the same for every config of a view
+    counts, conf_sums, correct_sums = [
+        t.reshape(len(bins), n_sets, -1, t.shape[-1]) for t in totals]
     if conditional:
-        live = np.flatnonzero(view.sizes)  # empty classes leave the mean
-        # With every class live (the usual case at small K) the pools are used
-        # as they are: indexing them would cost more than it saves.
-        if len(live) < view.n_pools:
-            totals = tuple(t[:, live] for t in totals)
-        classes = live.tolist()
-    counts, conf_sums, correct_sums = totals
+        live = view.sizes.reshape(n_sets, -1) > 0  # empty classes leave the mean
+        n_live = np.add.reduce(live, axis=1)
+        kept = np.flatnonzero(np.logical_or.reduce(live))
+        # Classes empty in every set are dropped.  With every class live (the
+        # usual case at small K) the pools are used as they are: indexing them
+        # would cost more than it saves.
+        if len(kept) < live.shape[1]:
+            counts, conf_sums, correct_sums = [
+                t[:, :, kept] for t in (counts, conf_sums, correct_sums)]
     occupied = np.maximum(counts, 1)
-    gaps = correct_sums / occupied - conf_sums / occupied
+    gaps = correct_sums / occupied
+    gaps -= conf_sums / occupied
+    del occupied
     weights = counts / np.maximum(counts.sum(axis=-1, keepdims=True), 1)
-    rows = {}  # norm -> (score, pool errors) of each bin count, as lists
+    rows = {}  # norm -> (score by set and bin count, (live classes, errors by bin count))
     for norm in dict.fromkeys(cfg.norm for cfg in configs):
-        terms = weights * (np.abs(gaps) if norm == "l1" else gaps * gaps)
+        terms = np.abs(gaps) if norm == "l1" else gaps * gaps
+        terms *= weights
         # cumsum adds the bins strictly left to right, like a Python loop
         # would; a plain sum's pairwise blocking would move the last digit.
-        errors = np.cumsum(terms, axis=-1)[..., -1]
+        errors = np.cumsum(terms, axis=-1, out=terms)[..., -1]  # (bin count, set, pool)
         if norm == "l2":
             errors = np.sqrt(errors)
         if conditional:
-            means = np.cumsum(errors, axis=-1)[:, -1] / len(classes)
-            rows[norm] = means.tolist(), errors.tolist()
+            scores = np.cumsum(errors, axis=-1)[..., -1] / n_live
         else:
-            rows[norm] = errors[:, 0].tolist(), None
+            scores = errors[..., 0]
+        # One set's live classes are the kept ones.
+        by_class = (kept.tolist(), errors[:, 0].tolist()) if classes and conditional else None
+        rows[norm] = scores.T.tolist(), by_class
     column = {b: j for j, b in enumerate(bins)}
-    out = []
-    for cfg in configs:
-        values, errors = rows[cfg.norm]
-        j = column[cfg.binning.n_bins]
-        per_class = dict(zip(classes, errors[j])) if conditional else None
-        out.append(CalibrationScore(values[j], cfg, per_class))
-    return out
+    at = [(rows[cfg.norm], column[cfg.binning.n_bins]) for cfg in configs]
+    values = [[scores[s][j] for (scores, _), j in at] for s in range(n_sets)]
+    if not (classes and conditional):
+        return values, None
+    return values, [[dict(zip(by_class[0], by_class[1][j])) for (_, by_class), j in at]]
 
 
 def brier_score(p: PredictionSet) -> float:

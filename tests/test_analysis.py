@@ -55,6 +55,13 @@ class TestAverageRanks:
         with pytest.raises(ValueError, match="NaN"):
             average_ranks(np.array([1.0, np.nan, 0.5]))
 
+    def test_ranks_each_row_of_an_array(self, rng):
+        values = rng.integers(0, 4, size=(3, 5, 9)).astype(float)  # many ties
+        got = average_ranks(values)
+        for index in np.ndindex(values.shape[:-1]):
+            assert got[index].tobytes() == average_ranks(values[index]).tobytes()
+        assert average_ranks(np.ones((2, 0))).shape == (2, 0)
+
 
 class TestRankCorrelation:
     # inputs are rank vectors, as produced by average_ranks

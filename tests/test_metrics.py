@@ -20,6 +20,7 @@ from calerr import (
     brier_score,
     gce,
     gce_many,
+    gce_table,
     gce_with_bins,
     index_to_config,
     metric_index,
@@ -30,6 +31,7 @@ from calerr import (
     softmax,
     write_prediction_file,
 )
+from calerr import analysis, binning, metrics
 from calerr.metrics import NAMED_METRICS
 
 from conftest import random_prediction_set
@@ -373,6 +375,121 @@ class TestGceMany:
             gce_many(p, all_configs())
         assert str(many.value) == str(single.value)
         assert str(many.value) == "no predictions survive threshold 0.01"
+
+
+def _table_sets() -> list:
+    """Sets of equal and unequal shapes for gce_table, with the edge cases stacked.
+
+    Equal shapes stack, and shapes that share N or K do not; within them,
+    one set's 0.01 threshold empties class 1 while its neighbours' keep it,
+    saturated rows put exact zeros beside ones, and at K = 1000 most classes
+    are never the top one.
+    """
+    rng = np.random.default_rng(77)
+    sets = []
+    shapes = ((40, 2, 3), (30, 10, 4), (1, 7, 3), (2, 1000, 3), (6, 3, 1), (7, 10, 2), (1, 3, 2))
+    for n, k, count in shapes:
+        for _ in range(count):
+            z = 3.0 * rng.standard_normal((n, k))
+            z[rng.random(n) < 0.2, rng.integers(0, k)] += 1e4  # saturated rows
+            sets.append(PredictionSet(row_softmax(z), rng.integers(0, k, n)))
+    starved = np.array(sets[0].probs)
+    starved[:, 1] = np.minimum(starved[:, 1], 0.005)
+    starved[:, 0] = 1.0 - starved[:, 1]
+    sets[1] = PredictionSet(starved, sets[1].labels)
+    return sets
+
+
+TABLE_SETS = _table_sets()
+TABLE_GRID = [cfg for b in (1, 7, 15, 30) for cfg in all_configs(b)]
+
+
+class TestGceTable:
+    """gce_table stacks same-shape sets yet gives each gce's bits."""
+
+    @pytest.mark.parametrize("budget", ["default", "one group per shape"])
+    def test_each_entry_is_its_sets_gce(self, monkeypatch, budget):
+        if budget != "default":  # every same-shape set in one view, on either even route
+            monkeypatch.setattr(binning, "SPLIT_EVEN_MIN_LOW", 10**9)
+        got = gce_table(TABLE_SETS, TABLE_GRID)
+        assert got.shape == (len(TABLE_SETS), len(TABLE_GRID)) and got.dtype == float
+        want = np.array([[gce(p, cfg).value for cfg in TABLE_GRID] for p in TABLE_SETS])
+        assert got.tobytes() == want.tobytes()
+
+    def test_sets_stack_in_groups(self, monkeypatch):
+        # The inputs above do stack: at the default budget, views of several sets are scored.
+        widths = []
+        real = metrics.bin_totals
+        monkeypatch.setattr(metrics, "bin_totals", lambda view, kind, bins: (
+            widths.append(view.n_pools) or real(view, kind, bins)))
+        gce_table(TABLE_SETS, TABLE_GRID)
+        assert max(widths) >= 3 * 10 and 3 in widths and 3 * 1000 not in widths
+        thresholded = all_configs()[2]
+        assert metrics._pooled_view(TABLE_SETS[1], thresholded).sizes.tolist() == [40, 0]
+        assert metrics._pooled_view(TABLE_SETS[0], thresholded).sizes[1] > 0
+
+    def test_a_set_with_an_empty_view_raises_like_gce(self):
+        rng = np.random.default_rng(5)
+        good = PredictionSet(row_softmax(9.0 * rng.standard_normal((5, 200))), np.arange(5))
+        empty = PredictionSet(np.full((5, 200), 1 / 200), np.array([0, 3, 50, 199, 7]))
+        cfg = next(cfg for cfg in all_configs() if cfg.threshold and not cfg.max_probs)
+        with pytest.raises(EmptyMeasurementError) as single:
+            gce(empty, cfg)
+        with pytest.raises(EmptyMeasurementError) as table:
+            gce_table([good, empty, good], all_configs())
+        assert str(table.value) == str(single.value) == "no predictions survive threshold 0.01"
+
+    def test_empty_inputs(self):
+        assert gce_table([], all_configs()).shape == (0, 32)
+        assert gce_table(TABLE_SETS[:2], []).shape == (2, 0)
+
+    def test_one_set_groups_are_todays_views(self, monkeypatch):
+        # At score-wide's shape every full view and the class-conditional
+        # max-prob view hold one set a group: each view bin_totals sees is
+        # the one a lone gce_many builds, the unthresholded full views read
+        # the set's own matrix, and the split even route runs as often.
+        # Only the pooled max-prob view, N entries a set, stacks.
+        rng = np.random.default_rng(9)
+        sets = [PredictionSet(row_softmax(3.0 * rng.standard_normal((200, 1000))),
+                              rng.integers(0, 1000, 200)) for _ in range(2)]
+        seen, split = [], []
+        totals, split_totals = metrics.bin_totals, binning._split_even_totals
+        monkeypatch.setattr(metrics, "bin_totals",
+                            lambda view, kind, bins: seen.append(view) or totals(view, kind, bins))
+        monkeypatch.setattr(binning, "_split_even_totals",
+                            lambda *args: split.append(args[2]) or split_totals(*args))
+        configs = all_configs(15)
+        for p in sets:
+            gce_many(p, configs)
+        alone, alone_split = seen[:], split[:]
+        seen.clear(), split.clear()
+        gce_table(sets, configs)
+        assert split == alone_split and len(split) == 2 * 2
+        stacked = [view for view in seen if view.n_pools == len(sets)]
+        assert [view.scores.shape for view in stacked] == [(200, 2)] * 2
+        rest = [view for view in seen if view.n_pools != len(sets)]
+        assert len(rest) == len(alone) - 2 * len(stacked) == 2 * 5 * 2
+        for view in rest:
+            assert any(mine.n_pools == view.n_pools
+                       and mine.scores.tobytes() == view.scores.tobytes()
+                       and mine.hits.tobytes() == view.hits.tobytes()
+                       and (mine.pools is None) == (view.pools is None) for mine in alone)
+            if view.pools is None and view.scores.size == 200 * 1000:
+                assert any(np.shares_memory(view.scores, p.probs) for p in sets)
+
+    def test_sweep_peak_memory(self):
+        # Nine sets at the benchmark study's shape, at the default bin counts.
+        rng = np.random.default_rng(11)
+        sets = [softmax(sample_mixed_difficulty_logits(150, 10, int(seed)))
+                for seed in rng.integers(0, 999, 9)]
+        analysis.bin_sensitivity_sweep(sets[0], sets[1:])
+        tracemalloc.start()
+        try:
+            analysis.bin_sensitivity_sweep(sets[0], sets[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2**20
 
 
 def _peak_over_input(p, score) -> float:
