@@ -32,29 +32,39 @@ def _run_sizes(n: int, n_bins: int) -> list[int]:
     return [base + 1] * extra + [base] * (n_bins - extra)
 
 
-def _pool_bins(entries: list[tuple[float, bool]], binning: str, n_bins: int):
-    """Yield (count, accuracy, confidence) per occupied bin of one pool."""
+def _bin_members(entries: list[tuple[float, bool]], binning: str, n_bins: int):
+    """The entries of each of the n_bins bins of one pool, empty bins included."""
     if binning == "even":
         groups: dict[int, list[tuple[float, bool]]] = {}
         for score, correct in entries:
             groups.setdefault(_even_bin_of(score, n_bins), []).append(
                 (score, correct)
             )
-        members = [groups.get(b, []) for b in range(n_bins)]
-    else:
-        order = sorted(range(len(entries)), key=lambda i: entries[i][0])
-        members = []
-        start = 0
-        for size in _run_sizes(len(entries), n_bins):
-            members.append([entries[i] for i in order[start : start + size]])
-            start += size
-    for bucket in members:
-        if not bucket:
-            continue
-        count = len(bucket)
-        acc = sum(1.0 for _, correct in bucket if correct) / count
-        conf = sum(score for score, _ in bucket) / count
-        yield count, acc, conf
+        return [groups.get(b, []) for b in range(n_bins)]
+    order = sorted(range(len(entries)), key=lambda i: entries[i][0])
+    members = []
+    start = 0
+    for size in _run_sizes(len(entries), n_bins):
+        members.append([entries[i] for i in order[start : start + size]])
+        start += size
+    return members
+
+
+def _bin_means(bucket: list[tuple[float, bool]]) -> tuple[int, float, float]:
+    """(count, accuracy, confidence) of one bin; an empty bin reads 0, 0.0, 0.0."""
+    count = len(bucket)
+    if not count:
+        return 0, 0.0, 0.0
+    acc = sum(1.0 for _, correct in bucket if correct) / count
+    conf = sum(score for score, _ in bucket) / count
+    return count, acc, conf
+
+
+def _pool_bins(entries: list[tuple[float, bool]], binning: str, n_bins: int):
+    """Yield (count, accuracy, confidence) per occupied bin of one pool."""
+    for bucket in _bin_members(entries, binning, n_bins):
+        if bucket:
+            yield _bin_means(bucket)
 
 
 def _pool_score(
@@ -74,6 +84,34 @@ def _pool_score(
     return acc_l1 if norm == "l1" else math.sqrt(acc_l2)
 
 
+def _view_triples(
+    probs: np.ndarray, labels: np.ndarray, max_probs: bool, threshold: float
+) -> list[tuple[float, int, bool]]:
+    """(score, class, correct) triples of the chosen view, row-major.
+
+    Raises ValueError when no entry survives the threshold.
+    """
+    probs = np.asarray(probs, dtype=float)
+    labels = np.asarray(labels)
+    n, k = probs.shape
+    triples: list[tuple[float, int, bool]] = []
+    if max_probs:
+        for i in range(n):
+            row = [float(v) for v in probs[i]]
+            top = row.index(max(row))
+            triples.append((row[top], top, int(labels[i]) == top))
+    else:
+        for i in range(n):
+            for c in range(k):
+                score = float(probs[i, c])
+                if threshold > 0.0 and score <= threshold:
+                    continue
+                triples.append((score, c, int(labels[i]) == c))
+    if not triples:
+        raise ValueError("empty view")
+    return triples
+
+
 def brute_force_gce(
     probs: np.ndarray,
     labels: np.ndarray,
@@ -90,25 +128,7 @@ def brute_force_gce(
     Raises ValueError when no entry survives, mirroring the contract that an
     empty measurement is an error rather than a perfect score.
     """
-    probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels)
-    n, k = probs.shape
-    # (score, class, correct) triples of the chosen view, row-major.
-    triples: list[tuple[float, int, bool]] = []
-    if max_probs:
-        for i in range(n):
-            row = [float(v) for v in probs[i]]
-            top = row.index(max(row))
-            triples.append((row[top], top, int(labels[i]) == top))
-    else:
-        for i in range(n):
-            for c in range(k):
-                score = float(probs[i, c])
-                if threshold > 0.0 and score <= threshold:
-                    continue
-                triples.append((score, c, int(labels[i]) == c))
-    if not triples:
-        raise ValueError("empty view")
+    triples = _view_triples(probs, labels, max_probs, threshold)
     if not class_conditional:
         pool = [(score, correct) for score, _, correct in triples]
         return _pool_score(pool, binning, n_bins, norm, weighted_l2)
@@ -120,6 +140,63 @@ def brute_force_gce(
         for _, pool in sorted(scores_by_class.items())
     ]
     return sum(values) / len(values)
+
+
+def _bin_edges(entries: list[tuple[float, bool]], binning: str, n_bins: int) -> list[float]:
+    """The n_bins + 1 edges of one pool's bins, 0.0 first and 1.0 last.
+
+    Even edges are b / n_bins.  An adaptive edge between two runs is the
+    midpoint of the last score of the one and the first score of the next,
+    in stable sorted order; an edge with no score after it is 1.0.
+    """
+    if binning == "even":
+        edges = [b / n_bins for b in range(n_bins + 1)]
+        edges[-1] = 1.0
+        return edges
+    ordered = sorted(score for score, _ in entries)
+    edges = [0.0]
+    end = 0
+    for size in _run_sizes(len(ordered), n_bins)[:-1]:
+        end += size
+        edges.append(0.5 * (ordered[end - 1] + ordered[end]) if end < len(ordered) else 1.0)
+    edges.append(1.0)
+    return edges
+
+
+def brute_force_bins(
+    probs: np.ndarray,
+    labels: np.ndarray,
+    binning: str,
+    max_probs: bool,
+    class_conditional: bool,
+    threshold: float,
+    n_bins: int,
+) -> list[tuple[int | None, float, float, int, float, float]]:
+    """Reference per-bin report: (class, lower, upper, count, accuracy, confidence) rows.
+
+    A pooled view is one pool whose class is None; a class-conditional one
+    has a pool per class 0..K-1, in class order.  Each pool gives its n_bins
+    bins in order, an empty bin with accuracy and confidence 0.0, except a
+    class with no entries, which gives the one row (class, 0.0, 1.0, 0,
+    0.0, 0.0).  Raises ValueError when no entry survives the threshold.
+    """
+    triples = _view_triples(probs, labels, max_probs, threshold)
+    if class_conditional:
+        pools = [
+            (c, [(score, correct) for score, cls, correct in triples if cls == c])
+            for c in range(np.shape(probs)[1])
+        ]
+    else:
+        pools = [(None, [(score, correct) for score, _, correct in triples])]
+    rows = []
+    for cls, entries in pools:
+        if not entries:
+            rows.append((cls, 0.0, 1.0, 0, 0.0, 0.0))
+            continue
+        edges = _bin_edges(entries, binning, n_bins)
+        for b, bucket in enumerate(_bin_members(entries, binning, n_bins)):
+            rows.append((cls, edges[b], edges[b + 1], *_bin_means(bucket)))
+    return rows
 
 
 def all_variant_axes() -> list[tuple[str, bool, bool, float, str]]:

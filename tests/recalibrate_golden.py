@@ -64,6 +64,19 @@ CLI_CASES = [
     ("reliability ACE",
      ["reliability", "probs.csv", "--named", "ACE", "--output", "out.csv"],
      ("out.csv",)),
+    # Pooled reports: their class_index cells are empty in CSV, null in JSON.
+    ("reliability ECE",
+     ["reliability", "probs.csv", "--named", "ECE", "--output", "out.csv"],
+     ("out.csv",)),
+    ("measure RMSCE json",
+     ["measure", "probs.csv", "--named", "RMSCE", "--output", "out.json"],
+     ("out.json",)),
+    # No class-1 probability of probs.csv exceeds 0.97, so class 1 reports
+    # one zero-count placeholder bin spanning [0, 1].
+    ("measure emptied class json",
+     ["measure", "probs.csv", "--no-max-probs", "--class-conditional",
+      "--threshold", "0.97", "--bins", "5", "--output", "out.json"],
+     ("out.json",)),
     ("sweep-bins uncalibrated",
      ["sweep-bins", "--inputs", *METHODS, "--uncalibrated", "probs.csv",
       "--bins", "5", "10", "20", "--output-prefix", "out"],

@@ -29,6 +29,7 @@ from calerr import (
     fit_isotonic_multiclass,
     fit_temperature,
     gce,
+    gce_with_bins,
     index_to_config,
     label_noise_experiment,
     make_pathology,
@@ -160,6 +161,58 @@ class TestOracleEquivalence:
         assert checked > 0
         assert worst <= 1e-10
         assert elapsed < 30.0
+
+
+class TestOracleBins:
+    # The first sets of TestOracleEquivalence's input stream; all 1,000
+    # would take about twice this test's time, and it runs in the fast loop.
+    N_SETS = 400
+
+    def test_reports_match_brute_force(self):
+        rng = np.random.default_rng(20260814)
+        t0 = time.monotonic()
+        worst = 0.0
+        checked = 0
+        for _ in range(self.N_SETS):
+            p = random_prediction_set(rng)
+            n_bins = int(rng.integers(1, 6))
+            wanted = {}  # the bins do not depend on the norm
+            for idx, axes in enumerate(oracle.all_variant_axes()):
+                cfg = index_to_config(idx, n_bins)
+                binning, _, class_conditional, _, _ = axes
+                try:
+                    if axes[:4] not in wanted:
+                        wanted[axes[:4]] = oracle.brute_force_bins(
+                            p.probs, p.labels, *axes[:4], n_bins)
+                except ValueError:
+                    with pytest.raises(EmptyMeasurementError):
+                        gce_with_bins(p, cfg)
+                    continue
+                classes, lower, upper, counts, accuracy, confidence = (
+                    np.array(column) for column in zip(*wanted[axes[:4]]))
+                stats = gce_with_bins(p, cfg)[1]
+                table = {field: np.array([getattr(st, field) for st in stats]) for field in
+                         ("class_index", "lower", "upper", "count", "accuracy", "confidence")}
+                if class_conditional:
+                    assert table["class_index"].tolist() == classes.tolist()
+                else:
+                    assert (table["class_index"] == None).all()  # noqa: E711
+                assert table["count"].tolist() == counts.tolist(), cfg.label()
+                # Even edges are exact; adaptive midpoints are one rounding
+                # of the same two scores, so they match too.
+                assert table["lower"].tolist() == lower.tolist(), cfg.label()
+                assert table["upper"].tolist() == upper.tolist(), cfg.label()
+                if binning == "adaptive":
+                    for c in set(classes.tolist()):
+                        pool = table["count"][classes == c]
+                        assert pool.max() - pool.min() <= 1, cfg.label()
+                worst = max(worst, np.abs(table["accuracy"] - accuracy).max(),
+                            np.abs(table["confidence"] - confidence).max())
+                checked += 1
+        elapsed = time.monotonic() - t0
+        print(f"{checked} reports, worst |diff| of means = {worst:.2e} [{elapsed:.1f}s]")
+        assert checked > 0
+        assert worst <= 1e-10
 
 
 @pytest.mark.slow

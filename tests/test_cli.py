@@ -262,11 +262,25 @@ class TestRecalibrateGolden:
         "case", golden.CLI_CASES, ids=[c[0] for c in golden.CLI_CASES]
     )
     def test_report_commands_match_golden(self, case, tmp_path):
-        # measure --all-32 --output, sweep-bins and rank-methods, byte for byte.
+        # measure, reliability, sweep-bins and rank-methods, byte for byte.
         name, argv, written = case
         for file, text in self.GOLDEN["inputs"].items():
             (tmp_path / file).write_text(text)
         assert golden.run_cli_case(argv, written, tmp_path) == self.GOLDEN["cli"][name]
+
+    def test_report_records_hold_the_rows_they_pin(self):
+        # Pooled rows carry no class; a class the threshold empties is one
+        # zero-count placeholder row spanning [0, 1].
+        cli = self.GOLDEN["cli"]
+        rows = cli["reliability ECE"]["out.csv"].splitlines()[1:]
+        assert len(rows) == 15 and all(row.startswith(",") for row in rows)
+        bins = json.loads(cli["measure RMSCE json"]["out.json"])["bin_stats"]
+        assert {b["class_index"] for b in bins} == {None}
+        bins = json.loads(cli["measure emptied class json"]["out.json"])["bin_stats"]
+        assert [b for b in bins if b["class_index"] == 1] == [
+            {"class_index": 1, "lower": 0.0, "upper": 1.0, "count": 0,
+             "accuracy": 0.0, "confidence": 0.0}]
+        assert [b["class_index"] for b in bins] == [0] * 5 + [1] + [2] * 5
 
     @staticmethod
     def saturated_logits(method: str) -> LogitSet:
