@@ -20,8 +20,8 @@ and a whole grid of bin counts, and returns per-(bin count, pool, bin)
 arrays of entry counts, score sums and correct counts, each bin count's
 bins padded with zeros up to the largest.  Adaptive binning maps each
 entry's rank in the view's stable sort to its run, by one of the two routes
-below; its counts are the run lengths.  :class:`BinStats` is
-the reporting form of one bin, built from one bin count's arrays by
+below; its counts are the run lengths.  :class:`BinTable` is
+the reporting form of one bin count's arrays, one row per bin, built by
 :func:`pool_bin_stats`.
 
 Totals are formed per (view, kind) over the whole grid.  Under bin count j
@@ -112,6 +112,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,25 +168,21 @@ class BinScheme:
             raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
 
 
-@dataclasses.dataclass(frozen=True)
-class BinStats:
-    """Per-bin summary: interval, population, mean outcome, mean score.
+class BinTable(NamedTuple):
+    """Per-bin report: six parallel 1-D arrays, one row per bin, pool by pool.
 
-    Empty bins carry accuracy = confidence = 0.0 by convention and are
-    distinguishable by ``count == 0``.  ``class_index`` is set when the bin
-    belongs to a class-conditional pool, else None.
+    Row i is the bin ``[lower[i], upper[i])`` of pool ``class_index[i]``
+    (``class_index`` is None for a view that is not class-conditional).
+    Empty bins read accuracy = confidence = 0.0 and are told apart by
+    ``count == 0``.
     """
 
-    lower: float
-    upper: float
-    count: int
-    accuracy: float
-    confidence: float
-    class_index: int | None = None
-
-    @property
-    def gap(self) -> float:
-        return self.accuracy - self.confidence
+    class_index: np.ndarray | None
+    lower: np.ndarray
+    upper: np.ndarray
+    count: np.ndarray
+    accuracy: np.ndarray
+    confidence: np.ndarray
 
 
 def even_edges(n_bins: int) -> np.ndarray:
@@ -662,12 +659,11 @@ def pool_bin_stats(
     view: PooledScores,
     scheme: BinScheme,
     totals: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> list[list[BinStats]]:
-    """The view's ``totals`` from :func:`bin_totals` as :class:`BinStats` per pool.
+) -> BinTable:
+    """The view's ``(pools, bins)`` ``totals`` from :func:`bin_totals` as a :class:`BinTable`.
 
-    Bins are tagged with their pool index when the scores are pooled
-    (``pools`` given or a 2-D matrix), else with None.  Empty bins read
-    accuracy = confidence = 0.
+    Rows carry their pool index when the scores are pooled (``pools`` given
+    or a 2-D matrix), else None.  Empty bins read accuracy = confidence = 0.
     """
     b = scheme.n_bins
     counts, conf_sums, correct_sums = totals
@@ -676,16 +672,10 @@ def pool_bin_stats(
     else:
         edges = _midpoint_edges(view, b)
     occupied = np.maximum(counts, 1)
-    columns = zip(
-        edges[:, :-1].tolist(), edges[:, 1:].tolist(), counts.tolist(),
-        (correct_sums / occupied).tolist(), (conf_sums / occupied).tolist(),
-    )
     pooled = view.pools is not None or view.scores.ndim == 2
-    return [
-        [
-            BinStats(lo, hi, c, acc, conf, class_index=k if pooled else None)
-            for lo, hi, c, acc, conf in zip(*pool)
-        ]
-        for k, pool in enumerate(columns)
-    ]
+    return BinTable(
+        np.repeat(np.arange(view.n_pools), b) if pooled else None,
+        edges[:, :-1].ravel(), edges[:, 1:].ravel(), counts.ravel(),
+        (correct_sums / occupied).ravel(), (conf_sums / occupied).ravel(),
+    )
 

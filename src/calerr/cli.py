@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .analysis import (
     DEFAULT_SWEEP_BINS,
     RANK_VARIANTS,
@@ -123,7 +125,7 @@ def _parse_named_inputs(pairs: list[str], command: str) -> dict[str, PredictionS
 ALL_32_HEADER = ["index", *AXES, "bins", "score"]
 
 
-def _write_report(path: str, header: list[str], rows: list[list], doc) -> None:
+def _write_report(path: str, header: list[str], rows: list, doc) -> None:
     """``doc`` as JSON when ``path`` ends in .json, else ``rows`` as CSV."""
     if path.endswith(".json"):
         write_json(path, doc)
@@ -151,8 +153,8 @@ def cmd_measure(args) -> int:
             doc = [dict(zip(ALL_32_HEADER, row)) for row in rows]
             _write_report(args.output, ALL_32_HEADER, rows, doc)
         return 0
-    score, stats = gce_with_bins(p, cfg)
-    rows = bin_stats_rows(stats)
+    score, table = gce_with_bins(p, cfg)
+    rows = bin_stats_rows(table)
     index = _grid_index(cfg)
     index_note = "" if index is None else f"index={index} "
     print(f"metric: {index_note}{cfg.label()} bins={cfg.binning.n_bins}")
@@ -320,11 +322,9 @@ def cmd_label_noise(args) -> int:
 def cmd_reliability(args) -> int:
     p = as_probs(read_prediction_file(args.predictions, logits=args.logits))
     cfg = _resolve_metric(args)
-    stats = gce_with_bins(p, cfg)[1]
-    rows = bin_stats_rows(stats)
-    write_table(args.output, BIN_STATS_HEADER, rows)
-    occupied = sum(1 for st in stats if st.count)
-    print(f"bins: {len(stats)} occupied: {occupied}")
+    table = gce_with_bins(p, cfg)[1]
+    write_table(args.output, BIN_STATS_HEADER, bin_stats_rows(table))
+    print(f"bins: {len(table.count)} occupied: {np.count_nonzero(table.count)}")
     return 0
 
 

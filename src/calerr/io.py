@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import DEFAULT_BINS, BinScheme, BinStats
+from .binning import DEFAULT_BINS, BinScheme, BinTable
 from .metrics import MetricConfig, named_metric
 from .predictions import LogitSet, PredictionSet
 
@@ -223,11 +223,11 @@ def write_json(path, obj) -> None:
 BIN_STATS_HEADER = ["class_index", "lower", "upper", "count", "accuracy", "confidence"]
 
 
-def bin_stats_rows(stats: list[BinStats]) -> list[list]:
-    return [
-        [st.class_index, st.lower, st.upper, st.count, st.accuracy, st.confidence]
-        for st in stats
-    ]
+def bin_stats_rows(table: BinTable) -> list[tuple]:
+    """One ``BIN_STATS_HEADER`` row per bin; a pooled table's class cells are None."""
+    classes = table.class_index
+    classes = [None] * len(table.count) if classes is None else classes.tolist()
+    return list(zip(classes, *(column.tolist() for column in table[1:])))
 
 
 @dataclasses.dataclass

@@ -52,7 +52,8 @@ covers its own live classes.  Both sums run left to right (``cumsum``), so
 each score has the bits of a pool-by-pool Python sum.  :func:`gce_many` is
 the one-set case, which keeps each score's per-class errors, :func:`gce`
 the one-config case, and :func:`gce_with_bins` returns the score with the
-totals formatted as :class:`BinStats`; all run the same path.
+totals laid out as one :class:`calerr.binning.BinTable`; all run the same
+path.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .binning import (
     BIN_KINDS,
     DEFAULT_BINS,
     BinScheme,
-    BinStats,
+    BinTable,
     PooledScores,
     bin_totals,
     pool_bin_stats,
@@ -217,25 +218,27 @@ def _pooled_view(p: PredictionSet, cfg: MetricConfig) -> PooledScores:
 
 def gce_with_bins(
     p: PredictionSet, cfg: MetricConfig
-) -> tuple[CalibrationScore, list[BinStats]]:
-    """``gce(p, cfg)`` and the per-bin stats it aggregates, from one view.
+) -> tuple[CalibrationScore, BinTable]:
+    """``gce(p, cfg)`` and the per-bin table it aggregates, from one view.
 
-    Class-conditional bins carry their class; a class that the threshold
-    empties contributes one zero-count placeholder bin spanning [0, 1].
+    Class-conditional rows carry their class; a class with no entries (the
+    threshold emptied it, or no top probability picks it) keeps only its
+    first bin, a zero-count placeholder spanning [0, 1].
     """
     view = _pooled_view(p, cfg)
-    bins = (cfg.binning.n_bins,)
+    b = cfg.binning.n_bins
     if cfg.binning.kind == "adaptive" and view.pools is None and view.scores.ndim == 1:
         view.sorted_scores  # the edges read it; made first, the keys read it too
-    totals = bin_totals(view, cfg.binning.kind, bins)
-    out: list[BinStats] = []
-    for k, pool in enumerate(pool_bin_stats(view, cfg.binning, [t[0] for t in totals])):
-        if cfg.class_conditional and not any(st.count for st in pool):
-            out.append(BinStats(0.0, 1.0, 0, 0.0, 0.0, class_index=k))
-        else:
-            out.extend(pool)
-    values, per_class = _grid_scores(view, 1, [cfg], bins, totals, classes=True)
-    return CalibrationScore(values[0][0], cfg, None if per_class is None else per_class[0][0]), out
+    totals = bin_totals(view, cfg.binning.kind, (b,))
+    table = pool_bin_stats(view, cfg.binning, [t[0] for t in totals])
+    if cfg.class_conditional:
+        empty = np.repeat(view.sizes == 0, b)
+        keep = ~empty
+        keep[::b] = True
+        table = BinTable(*(column[keep] for column in
+                           table._replace(upper=np.where(empty, 1.0, table.upper))))
+    values, per_class = _grid_scores(view, 1, [cfg], (b,), totals, classes=True)
+    return CalibrationScore(values[0][0], cfg, None if per_class is None else per_class[0][0]), table
 
 
 def gce(p: PredictionSet, cfg: MetricConfig) -> CalibrationScore:

@@ -20,6 +20,7 @@ from calerr import (
     NAMED_METRICS,
     EmptyMeasurementError,
     PredictionSet,
+    all_configs,
     apply_histogram_binning,
     apply_isotonic_multiclass,
     apply_temperature,
@@ -164,8 +165,8 @@ class TestOracleEquivalence:
 
 
 class TestOracleBins:
-    # The first sets of TestOracleEquivalence's input stream; all 1,000
-    # would take about twice this test's time, and it runs in the fast loop.
+    # The first sets of TestOracleEquivalence's input stream: all 1,000
+    # take about 8 s, too long for the fast loop this test runs in.
     N_SETS = 400
 
     def test_reports_match_brute_force(self):
@@ -177,8 +178,8 @@ class TestOracleBins:
             p = random_prediction_set(rng)
             n_bins = int(rng.integers(1, 6))
             wanted = {}  # the bins do not depend on the norm
-            for idx, axes in enumerate(oracle.all_variant_axes()):
-                cfg = index_to_config(idx, n_bins)
+            for cfg, axes in zip(all_configs(n_bins), oracle.all_variant_axes(), strict=True):
+                assert cfg.axis_tuple() == axes
                 binning, _, class_conditional, _, _ = axes
                 try:
                     if axes[:4] not in wanted:
@@ -190,24 +191,22 @@ class TestOracleBins:
                     continue
                 classes, lower, upper, counts, accuracy, confidence = (
                     np.array(column) for column in zip(*wanted[axes[:4]]))
-                stats = gce_with_bins(p, cfg)[1]
-                table = {field: np.array([getattr(st, field) for st in stats]) for field in
-                         ("class_index", "lower", "upper", "count", "accuracy", "confidence")}
+                table = gce_with_bins(p, cfg)[1]
                 if class_conditional:
-                    assert table["class_index"].tolist() == classes.tolist()
+                    assert table.class_index.tolist() == classes.tolist()
                 else:
-                    assert (table["class_index"] == None).all()  # noqa: E711
-                assert table["count"].tolist() == counts.tolist(), cfg.label()
+                    assert table.class_index is None
+                assert table.count.tolist() == counts.tolist(), cfg.label()
                 # Even edges are exact; adaptive midpoints are one rounding
                 # of the same two scores, so they match too.
-                assert table["lower"].tolist() == lower.tolist(), cfg.label()
-                assert table["upper"].tolist() == upper.tolist(), cfg.label()
+                assert table.lower.tolist() == lower.tolist(), cfg.label()
+                assert table.upper.tolist() == upper.tolist(), cfg.label()
                 if binning == "adaptive":
                     for c in set(classes.tolist()):
-                        pool = table["count"][classes == c]
+                        pool = table.count[classes == c]
                         assert pool.max() - pool.min() <= 1, cfg.label()
-                worst = max(worst, np.abs(table["accuracy"] - accuracy).max(),
-                            np.abs(table["confidence"] - confidence).max())
+                worst = max(worst, np.abs(table.accuracy - accuracy).max(),
+                            np.abs(table.confidence - confidence).max())
                 checked += 1
         elapsed = time.monotonic() - t0
         print(f"{checked} reports, worst |diff| of means = {worst:.2e} [{elapsed:.1f}s]")

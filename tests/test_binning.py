@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import oracle
 from calerr import (
     BinScheme,
-    BinStats,
     PredictionSet,
     all_configs,
     gce,
@@ -41,9 +40,14 @@ def totals_of(view, scheme):
 
 
 def bins_of(scores, correct, scheme):
-    """The bins of one pool of ``scores``; ``correct`` marks the hits."""
+    """The bin table of one pool of ``scores``; ``correct`` marks the hits."""
     view = PooledScores(np.asarray(scores, dtype=float), np.flatnonzero(correct), None, 1)
-    return pool_bin_stats(view, scheme, totals_of(view, scheme))[0]
+    return pool_bin_stats(view, scheme, totals_of(view, scheme))
+
+
+def table_bytes(table):
+    """Each column of a bin table as bytes (None stays None), for exact comparison."""
+    return [None if column is None else column.tobytes() for column in table]
 
 
 def reference_even_bins(scores, n_bins):
@@ -101,8 +105,8 @@ def assert_same_totals(got, want):
 
 def adaptive_edges(scores, n_bins):
     """The edges of the adaptive bins of ``scores``, read from the bins."""
-    stats = bins_of(scores, [], BinScheme("adaptive", n_bins))
-    return np.array([stats[0].lower] + [st_.upper for st_ in stats])
+    table = bins_of(scores, [], BinScheme("adaptive", n_bins))
+    return np.append(table.lower[:1], table.upper)
 
 
 class TestBinScheme:
@@ -212,38 +216,34 @@ class TestAdaptiveEdges:
 class TestBinStats:
     def test_even_totals(self):
         scores = [0.05, 0.15, 0.17, 0.95]
-        stats = bins_of(scores, [1, 0, 1, 1], BinScheme("even", 10))
-        assert len(stats) == 10
-        assert sum(s.count for s in stats) == 4
-        assert stats[1].count == 2
-        assert stats[1].accuracy == pytest.approx(0.5)
-        assert stats[1].confidence == pytest.approx(0.16)
+        table = bins_of(scores, [1, 0, 1, 1], BinScheme("even", 10))
+        assert all(len(column) == 10 for column in table[1:])
+        assert table.class_index is None
+        assert table.count.sum() == 4
+        assert table.count[1] == 2
+        assert table.accuracy[1] == pytest.approx(0.5)
+        assert table.confidence[1] == pytest.approx(0.16)
 
     def test_even_empty_bins_are_zeroed(self):
-        stats = bins_of([0.95], [1], BinScheme("even", 10))
-        empty = stats[0]
-        assert empty.count == 0
-        assert empty.accuracy == 0.0 and empty.confidence == 0.0
-
-    def test_gap_property(self):
-        st_ = BinStats(0.0, 0.1, 3, accuracy=0.9, confidence=0.7)
-        assert st_.gap == pytest.approx(0.2)
+        table = bins_of([0.95], [1], BinScheme("even", 10))
+        assert table.count[0] == 0
+        assert table.accuracy[0] == 0.0 and table.confidence[0] == 0.0
 
     def test_adaptive_equal_count(self):
         scores = [0.9, 0.1, 0.5, 0.3]
-        stats = bins_of(scores, [1, 0, 1, 0], BinScheme("adaptive", 2))
-        assert [s.count for s in stats] == [2, 2]
+        table = bins_of(scores, [1, 0, 1, 0], BinScheme("adaptive", 2))
+        assert table.count.tolist() == [2, 2]
         # sorted order: 0.1, 0.3 | 0.5, 0.9
-        assert stats[0].confidence == pytest.approx(0.2)
-        assert stats[1].confidence == pytest.approx(0.7)
-        assert stats[1].accuracy == pytest.approx(1.0)
+        assert table.confidence[0] == pytest.approx(0.2)
+        assert table.confidence[1] == pytest.approx(0.7)
+        assert table.accuracy[1] == pytest.approx(1.0)
 
     def test_adaptive_ties_keep_original_order(self):
         # all scores equal: membership must follow input position
         scores = [0.5, 0.5, 0.5, 0.5]
-        stats = bins_of(scores, [1, 1, 0, 0], BinScheme("adaptive", 2))
-        assert stats[0].accuracy == pytest.approx(1.0)
-        assert stats[1].accuracy == pytest.approx(0.0)
+        table = bins_of(scores, [1, 1, 0, 0], BinScheme("adaptive", 2))
+        assert table.accuracy[0] == pytest.approx(1.0)
+        assert table.accuracy[1] == pytest.approx(0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -255,10 +255,10 @@ class TestBinStats:
         correct = rng.random(n) < 0.5
         for kind in ("even", "adaptive"):
             b = int(rng.integers(1, 25))
-            stats = bins_of(scores, correct, BinScheme(kind, b))
-            assert sum(s.count for s in stats) == n
-            conf_sum = sum(s.count * s.confidence for s in stats)
-            acc_sum = sum(s.count * s.accuracy for s in stats)
+            table = bins_of(scores, correct, BinScheme(kind, b))
+            assert table.count.sum() == n
+            conf_sum = sum(c * conf for c, conf in zip(table.count, table.confidence))
+            acc_sum = sum(c * acc for c, acc in zip(table.count, table.accuracy))
             assert conf_sum == pytest.approx(scores.sum(), abs=1e-9)
             assert acc_sum == pytest.approx(correct.sum(), abs=1e-9)
 
@@ -313,24 +313,25 @@ class TestPooledOrder:
         scheme = BinScheme("adaptive", n_bins)
         pools = np.tile(np.arange(k), n)
         for view in (PooledScores(matrix, hits, None, k), PooledScores(flat, hits, pools, k)):
-            stats = pool_bin_stats(view, scheme, totals_of(view, scheme))
+            table = pool_bin_stats(view, scheme, totals_of(view, scheme))
+            assert table.class_index.tolist() == np.repeat(np.arange(k), n_bins).tolist()
             for j in range(k):
+                rows = slice(j * n_bins, (j + 1) * n_bins)
                 want = bins_of(matrix[:, j], correct[:, j], scheme)
-                assert [repr(dataclasses.replace(st_, class_index=None)) for st_ in stats[j]] \
-                    == [repr(st_) for st_ in want]
+                assert [column[rows].tobytes() for column in table[1:]] == table_bytes(want)[1:]
 
     def test_nan_scores_bin_in_stable_order(self):
         rng = np.random.default_rng(11)
         scores = rng.random(200)
         scores[rng.choice(200, 30, replace=False)] = np.nan
         correct = rng.random(200) < 0.5
-        stats = bins_of(scores, correct, BinScheme("adaptive", 7))
+        table = bins_of(scores, correct, BinScheme("adaptive", 7))
         order = np.argsort(scores, kind="stable")
         runs = np.split(order, np.cumsum(adaptive_counts(200, 7))[:-1])
-        assert [st_.count for st_ in stats] == [len(run) for run in runs]
-        for st_, run in zip(stats, runs):
-            assert st_.accuracy == correct[run].sum() / len(run)
-        assert np.isnan(stats[-1].confidence)
+        assert table.count.tolist() == [len(run) for run in runs]
+        for accuracy, run in zip(table.accuracy, runs):
+            assert accuracy == correct[run].sum() / len(run)
+        assert np.isnan(table.confidence[-1])
 
     @pytest.mark.parametrize("n_bins", [2, 15])
     def test_saturated_k1000_all_configs_match_oracle(self, n_bins):
@@ -512,18 +513,16 @@ def _fresh(view):
 def _on_route(monkeypatch, route, view, bins):
     """``bin_totals`` of a fresh view on ``route`` and, for one bin count, its stats.
 
-    The stats are the edges' bytes and, up to 50,000 bins (beyond that the
-    ``BinStats`` objects cost seconds), the ``pool_bin_stats`` reprs.
+    The stats are the edges' bytes and the bytes of each column of the
+    ``pool_bin_stats`` table.
     """
     monkeypatch.setattr(binning, "COMPARE_MIN_ENTRIES", ROUTES[route])
     view = _fresh(view)
     totals = bin_totals(view, "adaptive", bins)
     stats = None
     if len(bins) == 1:
-        stats = [binning._midpoint_edges(view, bins[0]).tobytes()]
-        if view.n_pools * bins[0] <= 50_000:
-            stats += [repr(st_) for pool in pool_bin_stats(
-                view, BinScheme("adaptive", bins[0]), [t[0] for t in totals]) for st_ in pool]
+        stats = [binning._midpoint_edges(view, bins[0]).tobytes(), *table_bytes(pool_bin_stats(
+            view, BinScheme("adaptive", bins[0]), [t[0] for t in totals]))]
     return view, totals, stats
 
 

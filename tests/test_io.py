@@ -33,7 +33,7 @@ from calerr.io import (
     write_json,
     write_table,
 )
-from calerr.binning import BinStats
+from calerr.binning import BinTable
 
 from conftest import random_prediction_set
 
@@ -403,11 +403,13 @@ class TestTablesAndJson:
         assert '"a": 1' in text
 
     def test_bin_stats_rows(self):
-        stats = [BinStats(0.0, 0.5, 2, 0.5, 0.4, class_index=None)]
-        rows = bin_stats_rows(stats)
+        pooled = BinTable(None, *map(np.array, ([0.0], [0.5], [2], [0.5], [0.4])))
+        rows = bin_stats_rows(pooled)
         assert len(rows[0]) == len(BIN_STATS_HEADER)
         assert rows[0][0] is None
         assert rows[0][3] == 2
+        conditional = pooled._replace(class_index=np.array([3]))
+        assert list(bin_stats_rows(conditional)[0]) == [3, 0.0, 0.5, 2, 0.5, 0.4]
 
 
 class TestRunConfig:

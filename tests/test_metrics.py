@@ -162,8 +162,8 @@ class TestGce:
 
     def test_binned_stats_tags_classes(self, tiny_preds):
         cfg = MetricConfig(BinScheme("even", 2), class_conditional=True)
-        stats = gce_with_bins(tiny_preds, cfg)[1]
-        assert {s.class_index for s in stats} == {0, 1}
+        table = gce_with_bins(tiny_preds, cfg)[1]
+        assert table.class_index.tolist() == [0, 0, 1, 1]
 
     def test_binned_stats_placeholder_for_empty_class(self):
         p = PredictionSet(
@@ -176,10 +176,9 @@ class TestGce:
             class_conditional=True,
             threshold=0.01,
         )
-        stats = gce_with_bins(p, cfg)[1]
-        placeholder = [s for s in stats if s.class_index == 2]
-        assert len(placeholder) == 1
-        assert placeholder[0].count == 0
+        table = gce_with_bins(p, cfg)[1]
+        placeholder = table.count[table.class_index == 2]
+        assert placeholder.tolist() == [0]
 
 
 class TestBrier:
@@ -268,19 +267,20 @@ def test_edge_inputs_match_brute_force_oracle(name):
                 with pytest.raises(EmptyMeasurementError):
                     gce_with_bins(p, cfg)
                 continue
-            score, stats = gce_with_bins(p, cfg)
+            score, table = gce_with_bins(p, cfg)
             assert score == gce(p, cfg)
             assert score.value == pytest.approx(ref, abs=1e-10), (name, b, cfg.label())
             if not cc:
                 continue
             assert sorted(score.per_class) == sorted(live)
             for k in range(p.n_classes):
-                pool = [s for s in stats if s.class_index == k]
+                pool = table.class_index == k
                 if k in live:
-                    assert len(pool) == b
+                    assert pool.sum() == b
                 else:
-                    placeholder = [(s.lower, s.upper, s.count) for s in pool]
-                    assert placeholder == [(0.0, 1.0, 0)]
+                    placeholder = zip(table.lower[pool].tolist(), table.upper[pool].tolist(),
+                                      table.count[pool].tolist())
+                    assert list(placeholder) == [(0.0, 1.0, 0)]
 
 
 
