@@ -156,18 +156,22 @@ def sgd_minimize(
     loss just evaluated (at the lookahead point when nesterov) and the
     parameters after the step.
     """
+    momentum, learning_rate = cfg.momentum, cfg.learning_rate
     x = np.array(params0, dtype=float)
     v = np.zeros_like(x)
     for t in range(cfg.iterations):
-        probe = x + cfg.momentum * v if cfg.nesterov else x
+        probe = x + momentum * v if cfg.nesterov else x
         loss, grad = f_and_grad(probe)
         grad = np.asarray(grad, dtype=float)
-        if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
+        if not (math.isfinite(loss) and np.isfinite(grad).all()):
             raise DivergenceError(
                 f"non-finite loss or gradient at iteration {t} "
-                f"(learning_rate={cfg.learning_rate})"
+                f"(learning_rate={learning_rate})"
             )
-        v = cfg.momentum * v - cfg.learning_rate * grad
+        # The arithmetic of v = momentum v - lr grad, with v updated in
+        # place; x is a new array each step, since callback may keep it.
+        v *= momentum
+        v -= learning_rate * grad
         x = x + v
         if callback is not None:
             callback(t, loss, x)

@@ -32,6 +32,7 @@ from .binning import assign_even_bins, even_edges
 from .metrics import EmptyMeasurementError, MetricConfig, gce, named_metric
 from .optimize import SgdConfig, nelder_mead, sgd_minimize
 from .predictions import (
+    _ROW_MAX_COPY_BELOW,
     LogitSet,
     PredictionSet,
     ValidationError,
@@ -54,17 +55,70 @@ MLP_HIDDEN_LAYERS = 3
 # Shared NLL plumbing: softmax cross-entropy and dense relu networks
 # ---------------------------------------------------------------------------
 
+def _class_sums(e: np.ndarray) -> np.ndarray:
+    """Sum the K rows of a class-major (K, N) buffer in place, in numpy's order.
+
+    Returns the sums, in ``e[0]``.  For K < 16 they equal ``x.sum(axis=1)``
+    of the C-ordered (N, K) matrix ``x = e.T.copy()`` bit for bit.  numpy
+    sums a contiguous row pairwise: fewer than 8 entries in order; 8 to 15
+    entries as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    rest in order.  At 16 its eight partial sums each take a second entry,
+    which this order does not follow.  The reduction starts from +0.0, which
+    turns a sum of -0.0 entries into +0.0.
+    """
+    rows = list(e)  # views, added in place without a write-back per add
+    if len(rows) >= 8:
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            rows[a] += rows[b]
+    total = rows[0]
+    for row in rows[8 if len(rows) >= 8 else 1:]:
+        total += row
+    total += 0.0
+    return total
+
+
+def _class_major_nll(out_t: np.ndarray, at_label: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`_nll_and_grad` of class-major logits (K < 16, C-ordered (K, N)).
+
+    ``at_label`` is ``labels * N + arange(N)``, the flat index of each row's
+    label entry.  ``out_t`` becomes the class-major gradient in place.  Every
+    step is elementwise, and the row sums follow numpy's order through
+    :func:`_class_sums`, so the bits are those of the row-major kernel.
+    """
+    n = out_t.shape[1]
+    out_t -= out_t.max(axis=0)
+    lse = np.log(_class_sums(np.exp(out_t)))
+    flat = out_t.ravel()
+    loss = float(np.add.reduce(lse - flat[at_label]) / n)  # np.mean's arithmetic
+    out_t -= lse
+    np.exp(out_t, out=out_t)
+    np.subtract.at(flat, at_label, 1.0)
+    out_t /= n
+    return loss, out_t
+
+
+def _is_narrow(z: np.ndarray) -> bool:
+    """Whether :func:`_class_major_nll` reproduces the row sums of ``z``'s layout."""
+    return z.dtype == np.float64 and z.flags.c_contiguous and z.shape[1] < _ROW_MAX_COPY_BELOW
+
+
 def _nll_and_grad(out_logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean NLL of softmax(out_logits) and its gradient w.r.t. the logits.
 
-    ``labels`` must index a class of every row.  The layout rules are
-    :func:`~calerr.predictions.row_softmax`'s: the row max may be read in
-    any order, since a zero max's sign never reaches a value, but the row
-    sums run on the shifted buffer as it is laid out (C-ordered rows for
-    C-ordered logits), because numpy's pairwise order within a row is what
-    the bits depend on.  The shifted buffer becomes the gradient in place.
+    ``labels`` must index a class of every row.  The gradient comes back
+    laid out like ``out_logits``.  Narrow C-ordered float64 logits (K < 16)
+    run class-major, where each step treats all N rows at once, and their
+    row sums are taken in numpy's pairwise order (:func:`_class_sums`).
+    Other layouts keep :func:`~calerr.predictions.row_softmax`'s rules: the
+    row max may be read in any order, since a zero max's sign never reaches
+    a value, but the row sums run on the shifted buffer as it is laid out,
+    because numpy's order within a row is what the bits depend on.  The
+    shifted buffer becomes the gradient in place.
     """
     n = out_logits.shape[0]
+    if _is_narrow(out_logits):
+        loss, grad_t = _class_major_nll(out_logits.T.copy(), labels * n + np.arange(n))
+        return loss, grad_t.T.copy()
     z = _minus_row_max(out_logits)
     lse = np.log(np.exp(z).sum(axis=1))
     # z is a new C- or F-contiguous array: one flat index in its memory
@@ -600,6 +654,13 @@ def affine_objective(logits: np.ndarray, labels: np.ndarray, kind: str):
     bias's, so the optimizer and the gradient checker can stay generic.
     For ``platt`` on K=2 the classic binary form is used:
     p1 = sigmoid(a (z1 - z0) + b).
+
+    Multiclass Platt and vector scaling on narrow C-ordered logits (K < 16)
+    keep one class-major copy of z and form z * w + b class-major, where
+    the NLL's row sums are taken in numpy's pairwise order, so the loss and
+    gradient keep the bits of the row-major objective.  Matrix scaling goes
+    through :func:`_nll_and_grad`, whose gradient comes back laid out like
+    its input.
     """
     if kind not in AFFINE_KINDS:
         raise ValueError(f"kind must be one of {AFFINE_KINDS}, got {kind!r}")
@@ -629,16 +690,48 @@ def affine_objective(logits: np.ndarray, labels: np.ndarray, kind: str):
 
     # Platt and vector: softmax(z * w + b) with one (w, b) pair, or one per class.
     n_w, axis = (1, None) if kind == "platt" else (k, 0)
+    x0 = np.repeat([1.0, 0.0], n_w)
+    if not _is_narrow(z):
+        def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
+            out = z * params[:n_w]
+            out += params[n_w:]
+            loss, gout = _nll_and_grad(out, y)
+            grad_b = gout.sum(axis=axis)
+            gout *= z
+            return loss, np.hstack([gout.sum(axis=axis), grad_b])
 
-    def f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
-        out = z * params[:n_w]
-        out += params[n_w:]
-        loss, gout = _nll_and_grad(out, y)
-        grad_b = gout.sum(axis=axis)
-        gout *= z
-        return loss, np.hstack([gout.sum(axis=axis), grad_b])
+        return f_and_grad, x0
 
-    return f_and_grad, np.repeat([1.0, 0.0], n_w)
+    z_t = z.T.copy()
+    at_label = y * n + np.arange(n)
+    # The gradient sums run over the row-major gradient, as they do on the
+    # row-major path.  Each kind takes both of its sums in one call.
+    if kind == "platt":
+        def platt_f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
+            out_t = z_t * params[0]
+            out_t += params[1]
+            loss, g_t = _class_major_nll(out_t, at_label)
+            # Two whole-buffer sums: gradient times z, then gradient.
+            stacked = np.empty((2, n, k))
+            stacked[1] = g_t.T
+            np.multiply(stacked[1], z, out=stacked[0])
+            return loss, stacked.reshape(2, -1).sum(axis=1)
+
+        return platt_f_and_grad, x0
+
+    def vector_f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
+        out_t = z_t * params[:k, None]
+        out_t += params[k:, None]
+        loss, g_t = _class_major_nll(out_t, at_label)
+        # Column sums, row by row over an (N, 2K) buffer: gradient times z,
+        # then gradient.
+        stacked = np.empty((n, 2 * k))
+        stacked[:, k:] = g_t.T
+        g_t *= z_t
+        stacked[:, :k] = g_t.T
+        return loss, stacked.sum(axis=0)
+
+    return vector_f_and_grad, x0
 
 
 def fit_affine_scaling(

@@ -42,6 +42,14 @@ class TestIndexing:
         for i in range(32):
             assert metric_index(index_to_config(i)) == i
 
+    @pytest.mark.parametrize("n_bins", [1, 15, 100])
+    def test_index_to_config_decodes_all_configs(self, n_bins):
+        configs = all_configs(n_bins)
+        assert [index_to_config(i, n_bins) for i in range(32)] == configs
+        for bad in (-1, 32):
+            with pytest.raises(ValueError, match=r"metric index must lie in \[0, 32\)"):
+                index_to_config(bad, n_bins)
+
     def test_axis_tuples_match_canonical_order(self):
         expected = oracle.all_variant_axes()
         for i, cfg in enumerate(all_configs()):

@@ -8,7 +8,10 @@ import pytest
 from calerr import (
     DivergenceError,
     SgdConfig,
+    affine_objective,
     grad_check,
+    init_mlp_params,
+    mlp_objective,
     nelder_mead,
     sgd_minimize,
 )
@@ -174,3 +177,40 @@ class TestGradCheck:
             return float(np.sum(x**2)), 3.0 * x  # should be 2x
 
         assert grad_check(f, np.array([1.0])) > 0.1
+
+
+def _scaling_objectives():
+    """(name, f_and_grad, start) for the SGD-trained recalibrators at K = 10."""
+    rng = np.random.default_rng(8)
+    z = 3.0 * rng.standard_normal((60, 10))
+    y = rng.integers(0, 10, 60)
+    for kind in ("platt", "vector", "matrix"):
+        f, x0 = affine_objective(z, y, kind)
+        yield kind, f, x0 + rng.normal(0.0, 0.1, x0.shape)
+    yield "mlp", mlp_objective(z, y, hidden=8, layers=2), init_mlp_params(10, 0, 8, 2)
+
+
+class TestSgdContract:
+    """What callers of sgd_minimize and of the objectives may keep."""
+
+    def test_callback_params_keep_their_step_values(self):
+        for name, f, x0 in _scaling_objectives():
+            seen = []
+            sgd_minimize(f, x0, SgdConfig(iterations=5),
+                         callback=lambda t, loss, x: seen.append((x, x.copy())))
+            assert len(seen) == 5
+            for kept, copied in seen:
+                assert kept.tobytes() == copied.tobytes(), name
+
+    def test_objectives_return_fresh_gradients(self):
+        for name, f, x0 in _scaling_objectives():
+            _, first = f(x0)
+            copied = first.copy()
+            _, second = f(x0 + 0.5)
+            assert not np.shares_memory(first, second), name
+            assert first.tobytes() == copied.tobytes(), name
+
+    def test_gradients_match_finite_differences(self):
+        bounds = {"platt": 1e-5, "vector": 1e-5, "matrix": 1e-5, "mlp": 1e-4}
+        for name, f, x0 in _scaling_objectives():
+            assert grad_check(f, x0) < bounds[name], name

@@ -15,7 +15,7 @@ import pytest
 
 from calerr import affine_objective, mlp_objective, row_softmax
 from calerr.predictions import _ROW_MAX_COPY_BELOW
-from calerr.recalibrate import _nll_and_grad
+from calerr.recalibrate import _class_sums, _nll_and_grad
 
 
 def reference_row_softmax(logits):
@@ -35,7 +35,9 @@ def reference_nll_and_grad(out_logits, labels):
     return loss, p / n
 
 
-CLASS_COUNTS = sorted({2, 10, 100, 1000, _ROW_MAX_COPY_BELOW - 1, _ROW_MAX_COPY_BELOW})
+# Every K to 17: numpy's pairwise row sum changes shape at K = 8, and the
+# class-major NLL path ends at _ROW_MAX_COPY_BELOW (16).
+CLASS_COUNTS = sorted({*range(2, 18), 100, 1000, _ROW_MAX_COPY_BELOW - 1, _ROW_MAX_COPY_BELOW})
 ROW_COUNTS = (1, 7, 600)
 
 
@@ -91,6 +93,31 @@ class TestBitIdentity:
             assert_same_nll(_nll_and_grad(zf, labels), reference_nll_and_grad(zf, labels))
 
 
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_class_sums_follow_numpys_row_sum_order(n):
+    """The class-major row sums equal numpy's ``sum(axis=1)`` bit for bit.
+
+    Rows span 1e-8 to 1e8 in both signs and hold inf, NaN and signed zeros,
+    so any change in numpy's pairwise order or in its starting value shows
+    here before it moves a golden file.
+    """
+    rng = np.random.default_rng(7)
+    for k in range(2, _ROW_MAX_COPY_BELOW):
+        x = rng.choice([-1.0, 1.0], (n, k)) * 10.0 ** rng.uniform(-8, 8, (n, k))
+        kind = rng.random((n, k))
+        x[kind < 0.05] = np.inf
+        x[(kind >= 0.05) & (kind < 0.1)] = -np.inf
+        x[(kind >= 0.1) & (kind < 0.15)] = np.nan
+        x[(kind >= 0.15) & (kind < 0.25)] = 0.0
+        x[(kind >= 0.25) & (kind < 0.35)] = -0.0
+        x[0] = -0.0  # an all -0.0 row sums to +0.0
+        with np.errstate(invalid="ignore"):
+            want = x.sum(axis=1)
+            got = _class_sums(x.T.copy())
+        assert got.tobytes() == want.tobytes(), (
+            f"K = {k}, N = {n}: numpy {np.__version__} sums rows in another order")
+
+
 class TestRowSoftmaxInputs:
     def test_strided(self):
         z = logits_cases(600, 2 * _ROW_MAX_COPY_BELOW)["plain"]
@@ -108,16 +135,21 @@ class TestObjectivesOnReferenceKernel:
     """The objectives, rebuilt from the reference kernel, bit for bit."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("kind", ["platt", "vector"])
+    @pytest.mark.parametrize("kind", ["platt", "vector", "matrix"])
     def test_affine(self, kind, order):
         rng = np.random.default_rng(3)
         z = np.asarray(3.0 * rng.standard_normal((600, 10)), order=order)
         y = rng.integers(0, 10, 600)
-        n_w, axis = (1, None) if kind == "platt" else (10, 0)
+        n_w, axis = {"platt": (1, None), "vector": (10, 0), "matrix": (100, 0)}[kind]
         f, x0 = affine_objective(z, y, kind)
         for params in (x0, x0 + rng.standard_normal(x0.shape)):
-            loss, gout = reference_nll_and_grad(z * params[:n_w] + params[n_w:], y)
-            want = np.hstack([(gout * z).sum(axis=axis), gout.sum(axis=axis)])
+            if kind == "matrix":
+                w = params[:n_w].reshape(10, 10)
+                loss, gout = reference_nll_and_grad(z @ w.T + params[n_w:], y)
+                want = np.hstack([(gout.T @ z).ravel(), gout.sum(axis=0)])
+            else:
+                loss, gout = reference_nll_and_grad(z * params[:n_w] + params[n_w:], y)
+                want = np.hstack([(gout * z).sum(axis=axis), gout.sum(axis=axis)])
             got_loss, got = f(params)
             assert got_loss == loss
             assert got.tobytes() == want.tobytes()
