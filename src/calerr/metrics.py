@@ -171,12 +171,7 @@ def index_to_config(index: int, n_bins: int = DEFAULT_BINS) -> MetricConfig:
     """Inverse of :func:`metric_index` at a chosen bin count."""
     if not 0 <= index < 32:
         raise ValueError(f"metric index must lie in [0, 32), got {index}")
-    # Mixed-radix digits of the index, innermost axis (norm) first.
-    values = []
-    for axis_values in reversed(AXES.values()):
-        index, digit = divmod(index, len(axis_values))
-        values.append(axis_values[digit])
-    kind, *rest = reversed(values)
+    kind, *rest = next(itertools.islice(itertools.product(*AXES.values()), index, None))
     return MetricConfig(BinScheme(kind, n_bins), *rest)
 
 

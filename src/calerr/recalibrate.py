@@ -32,7 +32,6 @@ from .binning import assign_even_bins, even_edges
 from .metrics import EmptyMeasurementError, MetricConfig, gce, named_metric
 from .optimize import SgdConfig, nelder_mead, sgd_minimize
 from .predictions import (
-    _ROW_MAX_COPY_BELOW,
     LogitSet,
     PredictionSet,
     ValidationError,
@@ -54,6 +53,16 @@ MLP_HIDDEN_LAYERS = 3
 # ---------------------------------------------------------------------------
 # Shared NLL plumbing: softmax cross-entropy and dense relu networks
 # ---------------------------------------------------------------------------
+
+# _class_sums follows numpy's pairwise row sum only below this many classes.
+_CLASS_SUMS_BELOW = 16
+# The class-major NLL kernel pays one ufunc call per class, so it gains only
+# from about 20 rows per class.  Against the row-major kernel (one BLAS
+# thread, median of 21 interleaved rounds) it took 1.08x at 50 rows and 0.96x
+# at 100 for K = 3, 1.13x at 100 and 0.96x at 200 for K = 10, and 1.03x at
+# 200 and 0.95x at 300 for K = 15.
+_CLASS_MAJOR_MIN_ROWS_PER_CLASS = 20
+
 
 def _class_sums(e: np.ndarray) -> np.ndarray:
     """Sum the K rows of a class-major (K, N) buffer in place, in numpy's order.
@@ -99,7 +108,7 @@ def _class_major_nll(out_t: np.ndarray, at_label: np.ndarray) -> tuple[float, np
 
 def _is_narrow(z: np.ndarray) -> bool:
     """Whether :func:`_class_major_nll` reproduces the row sums of ``z``'s layout."""
-    return z.dtype == np.float64 and z.flags.c_contiguous and z.shape[1] < _ROW_MAX_COPY_BELOW
+    return z.dtype == np.float64 and z.flags.c_contiguous and z.shape[1] < _CLASS_SUMS_BELOW
 
 
 def _nll_and_grad(out_logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -107,16 +116,17 @@ def _nll_and_grad(out_logits: np.ndarray, labels: np.ndarray) -> tuple[float, np
 
     ``labels`` must index a class of every row.  The gradient comes back
     laid out like ``out_logits``.  Narrow C-ordered float64 logits (K < 16)
-    run class-major, where each step treats all N rows at once, and their
-    row sums are taken in numpy's pairwise order (:func:`_class_sums`).
+    with at least 20 rows per class run class-major, where each step treats
+    all N rows at once, and their row sums are taken in numpy's pairwise
+    order (:func:`_class_sums`).
     Other layouts keep :func:`~calerr.predictions.row_softmax`'s rules: the
     row max may be read in any order, since a zero max's sign never reaches
     a value, but the row sums run on the shifted buffer as it is laid out,
     because numpy's order within a row is what the bits depend on.  The
     shifted buffer becomes the gradient in place.
     """
-    n = out_logits.shape[0]
-    if _is_narrow(out_logits):
+    n, k = out_logits.shape
+    if _is_narrow(out_logits) and n >= _CLASS_MAJOR_MIN_ROWS_PER_CLASS * k:
         loss, grad_t = _class_major_nll(out_logits.T.copy(), labels * n + np.arange(n))
         return loss, grad_t.T.copy()
     z = _minus_row_max(out_logits)
@@ -655,8 +665,9 @@ def affine_objective(logits: np.ndarray, labels: np.ndarray, kind: str):
     For ``platt`` on K=2 the classic binary form is used:
     p1 = sigmoid(a (z1 - z0) + b).
 
-    Multiclass Platt and vector scaling on narrow C-ordered logits (K < 16)
-    keep one class-major copy of z and form z * w + b class-major, where
+    Multiclass Platt and vector scaling on narrow C-ordered logits (K < 16),
+    at any row count, keep one class-major copy of z and form z * w + b
+    class-major, where
     the NLL's row sums are taken in numpy's pairwise order, so the loss and
     gradient keep the bits of the row-major objective.  Matrix scaling goes
     through :func:`_nll_and_grad`, whose gradient comes back laid out like
@@ -704,34 +715,25 @@ def affine_objective(logits: np.ndarray, labels: np.ndarray, kind: str):
 
     z_t = z.T.copy()
     at_label = y * n + np.arange(n)
-    # The gradient sums run over the row-major gradient, as they do on the
-    # row-major path.  Each kind takes both of its sums in one call.
-    if kind == "platt":
-        def platt_f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
-            out_t = z_t * params[0]
-            out_t += params[1]
-            loss, g_t = _class_major_nll(out_t, at_label)
-            # Two whole-buffer sums: gradient times z, then gradient.
+
+    def narrow_f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
+        out_t = z_t * params[:n_w, None]
+        out_t += params[n_w:, None]
+        loss, g_t = _class_major_nll(out_t, at_label)
+        # Both sums in one call, over the row-major gradient times z and the
+        # gradient, laid out so each is summed in the row-major path's order.
+        if axis is None:  # two whole (N, K) buffers
             stacked = np.empty((2, n, k))
             stacked[1] = g_t.T
             np.multiply(stacked[1], z, out=stacked[0])
             return loss, stacked.reshape(2, -1).sum(axis=1)
-
-        return platt_f_and_grad, x0
-
-    def vector_f_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
-        out_t = z_t * params[:k, None]
-        out_t += params[k:, None]
-        loss, g_t = _class_major_nll(out_t, at_label)
-        # Column sums, row by row over an (N, 2K) buffer: gradient times z,
-        # then gradient.
-        stacked = np.empty((n, 2 * k))
+        stacked = np.empty((n, 2 * k))  # columns, row by row
         stacked[:, k:] = g_t.T
         g_t *= z_t
         stacked[:, :k] = g_t.T
         return loss, stacked.sum(axis=0)
 
-    return vector_f_and_grad, x0
+    return narrow_f_and_grad, x0
 
 
 def fit_affine_scaling(

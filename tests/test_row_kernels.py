@@ -15,7 +15,12 @@ import pytest
 
 from calerr import affine_objective, mlp_objective, row_softmax
 from calerr.predictions import _ROW_MAX_COPY_BELOW
-from calerr.recalibrate import _class_sums, _nll_and_grad
+from calerr.recalibrate import (
+    _CLASS_MAJOR_MIN_ROWS_PER_CLASS,
+    _CLASS_SUMS_BELOW,
+    _class_sums,
+    _nll_and_grad,
+)
 
 
 def reference_row_softmax(logits):
@@ -36,7 +41,7 @@ def reference_nll_and_grad(out_logits, labels):
 
 
 # Every K to 17: numpy's pairwise row sum changes shape at K = 8, and the
-# class-major NLL path ends at _ROW_MAX_COPY_BELOW (16).
+# class-major NLL path ends at _CLASS_SUMS_BELOW (16).
 CLASS_COUNTS = sorted({*range(2, 18), 100, 1000, _ROW_MAX_COPY_BELOW - 1, _ROW_MAX_COPY_BELOW})
 ROW_COUNTS = (1, 7, 600)
 
@@ -93,6 +98,15 @@ class TestBitIdentity:
             assert_same_nll(_nll_and_grad(zf, labels), reference_nll_and_grad(zf, labels))
 
 
+@pytest.mark.parametrize("k", range(2, _CLASS_SUMS_BELOW))
+def test_nll_and_grad_either_side_of_the_row_count(k):
+    """Bits on both sides of the class-major kernel's minimum row count."""
+    for n in (_CLASS_MAJOR_MIN_ROWS_PER_CLASS * k - 1, _CLASS_MAJOR_MIN_ROWS_PER_CLASS * k):
+        labels = np.random.default_rng(1).integers(0, k, n)
+        for z in logits_cases(n, k).values():
+            assert_same_nll(_nll_and_grad(z, labels), reference_nll_and_grad(z, labels))
+
+
 @pytest.mark.parametrize("n", ROW_COUNTS)
 def test_class_sums_follow_numpys_row_sum_order(n):
     """The class-major row sums equal numpy's ``sum(axis=1)`` bit for bit.
@@ -102,7 +116,7 @@ def test_class_sums_follow_numpys_row_sum_order(n):
     here before it moves a golden file.
     """
     rng = np.random.default_rng(7)
-    for k in range(2, _ROW_MAX_COPY_BELOW):
+    for k in range(2, _CLASS_SUMS_BELOW):
         x = rng.choice([-1.0, 1.0], (n, k)) * 10.0 ** rng.uniform(-8, 8, (n, k))
         kind = rng.random((n, k))
         x[kind < 0.05] = np.inf
