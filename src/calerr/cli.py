@@ -9,6 +9,7 @@ wall-clock entropy or writes timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -335,7 +336,9 @@ def cmd_pathology(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="calerr",
         description="Calibration-error measurement and post-hoc recalibration.",

@@ -9,14 +9,20 @@ the container it builds checks the numbers, and a :class:`RunConfig` leaves
 each setting's check to the metric type that owns it.
 
 Files move in blocks of about ``BLOCK_CELLS`` cells, so reading or writing
-one holds its matrix plus one block of text.  The reader streams
-``csv.reader`` rows and converts each block's float cells in one
-``np.array(cells, dtype=float)`` call (``float()`` semantics) and its labels
-through ``int()``; the blocks are joined once at the end.  A block that is
-ragged or fails a conversion is rescanned cell by cell only to name the
+one holds its matrix plus one block of text.  The reader takes the header
+and the first data row from ``csv.reader``, then parses each block of lines
+with numpy's C text reader (``np.loadtxt``), whose conversion is the one
+``float()`` uses.  numpy accepts a subset of the spellings ``float()`` and
+``int()`` accept, with the same values.  The first block it cannot take
+sends the rest of the file through the csv path: ``csv.reader`` rows, each
+block's float cells converted in one ``np.array(cells, dtype=float)`` call
+and its labels through ``int()``.  That path is the one source of values
+for the spellings numpy refuses and of every error; a block that is ragged
+or fails a conversion there is rescanned cell by cell only to name the
 first bad row and column (the header is row 1; blank lines are not
-counted).  Rows are rendered by one ``%``-format per row, built once per
-tuple of cell types, with the cell rules of :func:`format_value`.
+counted).  The blocks are joined once at the end.  Rows are rendered by one
+``%``-format per row, built once per tuple of cell types, with the cell
+rules of :func:`format_value`.
 """
 
 from __future__ import annotations
@@ -93,8 +99,8 @@ def _is_header(row: list[str]) -> bool:
     )
 
 
-def _row_blocks(rows, size: int, row_no: int):
-    """``(number of its first row, rows)`` for each block of up to ``size`` rows.
+def _row_blocks(rows, size: int):
+    """Lists of up to ``size`` rows (csv rows or lines of text), in file order.
 
     A tokenizer fault (``csv.Error``, ``UnicodeDecodeError``) is raised only
     after the rows before it are handed out, so an earlier bad row is
@@ -105,15 +111,63 @@ def _row_blocks(rows, size: int, row_no: int):
         for row in rows:
             block.append(row)
             if len(block) == size:
-                yield row_no, block
-                row_no += size
+                yield block
                 block = []
     except (csv.Error, UnicodeDecodeError):
         if block:
-            yield row_no, block
+            yield block
         raise
     if block:
-        yield row_no, block
+        yield block
+
+
+def _load_lines(lines: list[str], width: int):
+    """numpy's parse of a block of lines as a record array (values ``v``, labels ``y``).
+
+    ``np.loadtxt`` converts with ``PyOS_string_to_double``, as ``float()``
+    does, and accepts a subset of the spellings ``float()`` and ``int()``
+    accept, with the same values.  Returns None where the block must go
+    through csv instead: numpy refuses it (quotes, underscores, non-ASCII
+    digits, labels past int64, ragged or bad rows); a line is past
+    ``csv.field_size_limit()``, where csv raises; no line is long enough for
+    a row, where numpy would refuse the block or warn that it is empty; or a
+    cell holds one of the separators U+001C to U+001F, which numpy strips as
+    whitespace and ``float()`` refuses.
+    """
+    text = "".join(lines)
+    longest = max(map(len, lines))
+    if not 2 * width - 1 <= longest <= csv.field_size_limit() or any(
+        sep in text for sep in "\x1c\x1d\x1e\x1f"
+    ):
+        return None
+    try:
+        return np.loadtxt(
+            lines, dtype=[("v", float, (width - 1,)), ("y", int)],
+            delimiter=",", comments=None, ndmin=1,
+        )
+    except (ValueError, OverflowError):
+        return None
+
+
+def _parse_lines(path, lines, width: int, row_no: int):
+    """Values and labels of each block of ``lines``, numbered from ``row_no``.
+
+    Blocks go through numpy (:func:`_load_lines`) until one cannot; that
+    block and every line after it go through csv, since a quoted field may
+    span a block boundary.
+    """
+    size = max(1, BLOCK_CELLS // width)
+    blocks = _row_blocks(lines, size)
+    for block in blocks:
+        table = _load_lines(block, width)
+        if table is None:
+            rows = filter(None, csv.reader(chain(block, chain.from_iterable(blocks))))
+            for csv_block in _row_blocks(rows, size):
+                yield _parse_block(path, csv_block, width, row_no)
+                row_no += len(csv_block)
+            return
+        yield table["v"], table["y"]
+        row_no += len(table)
 
 
 def _parse_block(path, block: list[list[str]], width: int, row_no: int):
@@ -181,10 +235,14 @@ def read_prediction_file(path, logits: bool = False) -> PredictionSet | LogitSet
                 f"{path}: row {start + 1}: need at least 2 probability columns "
                 f"plus a label, got {width} columns"
             )
-        blocks = _row_blocks(chain([first], rows), max(1, BLOCK_CELLS // width), start + 1)
-        values, labels = zip(*(_parse_block(path, block, width, row) for row, block in blocks))
-    values = np.concatenate(values)  # rebinding frees the blocks before the container copies
-    labels = np.concatenate(labels)
+        # The first data row is csv's; the lines after it go to numpy.
+        blocks = chain(
+            [_parse_block(path, [first], width, start + 1)],
+            _parse_lines(path, handle, width, start + 2),
+        )
+        values, labels = zip(*blocks)
+    values = np.concatenate(values)
+    labels = np.concatenate(labels)  # rebinding frees the blocks before the container copies
     if logits:
         return LogitSet(values, labels)
     return PredictionSet(values, labels)

@@ -111,6 +111,11 @@ def _is_narrow(z: np.ndarray) -> bool:
     return z.dtype == np.float64 and z.flags.c_contiguous and z.shape[1] < _CLASS_SUMS_BELOW
 
 
+def _runs_class_major(z: np.ndarray) -> bool:
+    """Whether :func:`_nll_and_grad` runs the logits ``z`` class-major."""
+    return _is_narrow(z) and len(z) >= _CLASS_MAJOR_MIN_ROWS_PER_CLASS * z.shape[1]
+
+
 def _nll_and_grad(out_logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean NLL of softmax(out_logits) and its gradient w.r.t. the logits.
 
@@ -125,8 +130,8 @@ def _nll_and_grad(out_logits: np.ndarray, labels: np.ndarray) -> tuple[float, np
     because numpy's order within a row is what the bits depend on.  The
     shifted buffer becomes the gradient in place.
     """
-    n, k = out_logits.shape
-    if _is_narrow(out_logits) and n >= _CLASS_MAJOR_MIN_ROWS_PER_CLASS * k:
+    n = len(out_logits)
+    if _runs_class_major(out_logits):
         loss, grad_t = _class_major_nll(out_logits.T.copy(), labels * n + np.arange(n))
         return loss, grad_t.T.copy()
     z = _minus_row_max(out_logits)
@@ -590,9 +595,16 @@ def fit_temperature(
     labels = val.labels
 
     if objective == "nll":
-        def f(x: np.ndarray) -> float:
-            loss, _ = _nll_and_grad(z * math.exp(-x[0]), labels)
-            return loss
+        if _runs_class_major(z):  # scale one class-major copy; keep only the loss
+            z_t = z.T.copy()
+            at_label = labels * len(z) + np.arange(len(z))
+
+            def f(x: np.ndarray) -> float:
+                return _class_major_nll(z_t * math.exp(-x[0]), at_label)[0]
+        else:
+            def f(x: np.ndarray) -> float:
+                loss, _ = _nll_and_grad(z * math.exp(-x[0]), labels)
+                return loss
 
         start = np.array([0.0])
     else:

@@ -543,3 +543,30 @@ class TestPathology:
         assert main([
             "pathology", "--p-wrong", "0.4", "--output", str(tmp_path / "x.csv"),
         ]) == 1
+
+
+def test_calls_in_one_process_print_what_each_prints_alone(probs_csv, tmp_path, capsys):
+    """main() shares one parser across calls; no call's flags leak into the next."""
+    calls = [
+        ["measure", probs_csv],
+        ["measure", probs_csv, "--bins", "7", "--named", "ACE"],
+        ["measure", probs_csv, "--bins"],  # usage error: the flag needs a value
+        ["reliability", probs_csv, "--class-conditional", "--output", str(tmp_path / "r.csv")],
+        ["measure", probs_csv],
+        ["pathology", "--n-wrong", "3", "--n-right", "4", "--output", str(tmp_path / "p.csv")],
+        ["measure", probs_csv, "--all-32"],
+        ["measure", probs_csv, "--bins", "7"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return code, *capsys.readouterr()
+
+    together = [run(argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        calerr.cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    assert together == alone
+    assert [code for code, _, _ in together] == [0, 0, 2, 0, 0, 0, 0, 0]
+    assert together[0][1] == together[4][1] != together[7][1]

@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,6 +313,188 @@ class TestBlockedReader:
         path.write_text(f"0.5,0.5,0\n0.5,0.5,{big}\n")
         with pytest.raises(csv.Error, match="field larger than field limit"):
             read_prediction_file(path)
+
+
+# Cell spellings around numpy's text reader.  numpy 2.4.6 reads the first
+# group wherever float() or int() does, with their values, and refuses the
+# second, which only the csv path converts.  U+001C to U+001F are whitespace
+# to numpy but not to float() or int(), so the reader keeps blocks holding
+# them away from numpy.
+ACCEPTED_SPELLINGS = [
+    " 0.5 ", "\t0.5", "\xa00.5\xa0", "0.5 ", "nan", "-nan", "NaN", "inf", "-inf",
+    "infinity", "1e400", "-1e400", "1e-400", "4.9e-324", "-0.0", ".5", "5.", "+3", "0003",
+    "-0", "3\r", "3\r\n",
+]
+REFUSED_SPELLINGS = [
+    "1_0.5", "3_0", "１.５", "١.٥", "٣", "３", '"0.5"', '"3"', str(2 ** 63), str(-2 ** 63 - 1),
+    str(2 ** 70), "3.0", "3e0", "0x3", "nan(1)", "0.5\x00", "", " ", "oops", "1#", "#1", "\x1c0.5",
+    "3\x1d", "\x1e3", "0.5\x1f",
+]
+
+
+def load_one(cell: str, column: int):
+    """numpy's value of ``cell`` in a float column (0) or the label column (2) of a row."""
+    line = ",".join(cell if c == column else "1" for c in range(3))
+    table = calerr.io._load_lines([line], 3)
+    if table is None:
+        return None
+    return table["v"][0, 0] if column == 0 else table["y"][0]
+
+
+@pytest.mark.parametrize("cell", ACCEPTED_SPELLINGS + REFUSED_SPELLINGS)
+def test_numpy_reads_a_subset_of_float_and_int(cell):
+    """Tripwire: numpy either refuses a spelling or gives float()'s or int()'s bits.
+
+    The package allows any numpy from 1.24, and the reader trusts this of
+    whichever one is installed.
+    """
+    for column, convert in ((0, float), (2, int)):
+        if cell.endswith(("\r", "\n")) and column != 2:
+            continue  # a line end ends the row
+        got = load_one(cell, column)
+        if got is None:
+            continue
+        try:
+            expected = convert(cell)
+        except ValueError:
+            pytest.fail(f"numpy {np.__version__} reads {cell!r} as {got!r}; "
+                        f"{convert.__name__}() refuses it")
+        assert np.array(got).tobytes() == np.array(expected, got.dtype).tobytes(), (
+            f"numpy {np.__version__} reads {cell!r} as {got!r}; "
+            f"{convert.__name__}() gives {expected!r}"
+        )
+
+
+@st.composite
+def prediction_files(draw):
+    """Text of a prediction file from a grammar, and a ``BLOCK_CELLS`` to read it with."""
+    k = draw(st.integers(2, 3))
+    floats = st.one_of(
+        st.floats(width=64).map(format_float),
+        st.floats(width=64).map(repr),
+        st.integers(-5, 5).map(str),
+    )
+    labels = st.one_of(st.integers(0, k - 1), st.integers(-2 ** 63, 2 ** 63 - 1)).map(str)
+    spelled = st.sampled_from(ACCEPTED_SPELLINGS + REFUSED_SPELLINGS)
+
+    def cell(numbers):
+        return draw(spelled) if draw(st.integers(0, 15)) == 0 else draw(numbers)
+
+    end = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    lines = []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["row"] * 14 + ["blank"] * 3 + ["header", "ragged", "quoted"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "header":
+            lines.append(",".join(f"p{i}" for i in range(k)) + ",label")
+            continue
+        n_cells = k + draw(st.sampled_from([-1, 1, -k])) if kind == "ragged" else k
+        cells = [cell(floats) for _ in range(n_cells)] + [cell(labels)]
+        if kind == "quoted":  # one field, possibly spanning a line break
+            i = draw(st.integers(0, len(cells) - 1))
+            cells[i] = '"' + cells[i] + draw(st.sampled_from(["", "\n", "\r\n", ' ""x'])) + '"'
+        lines.append(",".join(cells))
+    text = "".join(line + draw(end) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    return text, draw(st.sampled_from([1, 4, 7, 9, 64, 1 << 16]))
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except (PredictionFileError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class CsvSpy:
+    """Wraps ``csv.reader``, recording every row it yields but blank ones."""
+
+    def __init__(self, monkeypatch):
+        self.rows = []
+        reader = csv.reader
+
+        def spy(lines):
+            for row in reader(lines):
+                if row:
+                    self.rows.append(row)
+                yield row
+
+        monkeypatch.setattr(calerr.io.csv, "reader", spy)
+
+
+class TestNumpyReader:
+    """numpy parses a block where it gives the csv path's values; csv parses the rest."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(prediction_files())
+    def test_equals_reference_read(self, tmp_path_factory, file):
+        text, cells = file
+        path = tmp_path_factory.getbasetemp() / "grammar.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = outcome(reference_read, path)
+        with mock.patch.object(calerr.io, "BLOCK_CELLS", cells), \
+                mock.patch.object(calerr.io, "LogitSet", lambda values, labels: (values, labels)):
+            got = outcome(lambda p: read_prediction_file(p, logits=True), path)
+        if isinstance(expected[0], type):
+            assert got == expected
+        else:
+            assert not isinstance(got[0], type), got
+            assert_same_arrays(got, expected)
+
+    @pytest.mark.parametrize("head", ["", "p0,p1,label\n"])
+    def test_plain_file_reaches_csv_for_its_first_row_only(self, tmp_path, raw_read,
+                                                           monkeypatch, head):
+        monkeypatch.setattr(calerr.io, "BLOCK_CELLS", 6)  # two rows per block
+        path = tmp_path / "plain.csv"
+        path.write_text(head + "".join(f"0.{i},0.{9 - i},{i % 2}\n" for i in range(9)))
+        expected = reference_read(path)
+        spy = CsvSpy(monkeypatch)
+        assert_same_arrays(raw_read(path), expected)
+        assert spy.rows == [["p0", "p1", "label"]] * bool(head) + [["0.0", "0.9", "0"]]
+
+    def test_refused_block_sends_the_rest_to_csv(self, tmp_path, raw_read, monkeypatch):
+        monkeypatch.setattr(calerr.io, "BLOCK_CELLS", 6)  # two rows per block
+        rows = [f"0.{i},0.{9 - i},{i % 2}" for i in range(9)]
+        rows[5] = "1_0.5,0.5,1"  # row 6 opens the block of rows 6 and 7
+        path = tmp_path / "mid.csv"
+        path.write_text("\n".join(rows) + "\n")
+        expected = reference_read(path)
+        spy = CsvSpy(monkeypatch)
+        assert_same_arrays(raw_read(path), expected)
+        assert spy.rows == [rows[0].split(",")] + [row.split(",") for row in rows[5:]]
+
+        rows[7] = "0.5,oops,1"
+        path.write_text("\n\n".join(rows) + "\n")  # blank lines are not counted
+        expected = error_text(reference_read, path)
+        spy.rows.clear()
+        message = error_text(read_prediction_file, path)
+        assert message == expected
+        assert "row 8, column 2: could not parse 'oops'" in message
+        assert spy.rows == [rows[0].split(",")] + [row.split(",") for row in rows[5:]]
+
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_field_past_csv_limit_still_raised(self, tmp_path, column):
+        cells = ["0.5", "0.5", "1"]
+        cells[column] = "9" * (csv.field_size_limit() + 1)  # numpy reads inf as a float
+        path = tmp_path / "field.csv"
+        path.write_text("0.5,0.5,0\n0.25,0.75,1\n" + ",".join(cells) + "\n")
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            read_prediction_file(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, cells", [
+        ("0.5,0.5,0\n0.25,0.75,1\n0.75,0.25,1\n\n\r\n\n", 6),  # two lines per block
+        ("0.5,0.5,0\n\n\r\n\n", 1 << 16),
+    ])
+    def test_last_block_of_blank_lines_warns_nothing(self, tmp_path, raw_read, monkeypatch,
+                                                     text, cells):
+        monkeypatch.setattr(calerr.io, "BLOCK_CELLS", cells)
+        path = tmp_path / "tail.csv"
+        path.write_bytes(text.encode())
+        assert_same_arrays(raw_read(path), reference_read(path))
 
 
 def reference_format_value(v) -> str:

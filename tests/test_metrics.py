@@ -552,4 +552,4 @@ class TestFilePeakMemory:
     def test_read(self, imagenet_like, tmp_path):
         path = tmp_path / "preds.csv"
         write_prediction_file(path, imagenet_like)
-        assert _peak_over_input(imagenet_like, lambda: read_prediction_file(path)) <= 3.5
+        assert _peak_over_input(imagenet_like, lambda: read_prediction_file(path)) <= 2.5

@@ -8,12 +8,14 @@ its bits and its memory layout, and no kernel may write into its input.
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from calerr import affine_objective, mlp_objective, row_softmax
+from calerr import LogitSet, affine_objective, fit_temperature, mlp_objective, row_softmax
+from calerr import recalibrate
 from calerr.predictions import _ROW_MAX_COPY_BELOW
 from calerr.recalibrate import (
     _CLASS_MAJOR_MIN_ROWS_PER_CLASS,
@@ -167,6 +169,26 @@ class TestObjectivesOnReferenceKernel:
             got_loss, got = f(params)
             assert got_loss == loss
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape, order", [
+        ((1500, 10), "C"), ((150, 10), "C"), ((1500, 10), "F"), ((300, 3), "C"), ((300, 20), "C"),
+    ])
+    def test_temperature_nll(self, monkeypatch, shape, order):
+        rng = np.random.default_rng(5)
+        z = np.asarray(3.0 * rng.standard_normal(shape), order=order)
+        y = rng.integers(0, shape[1], shape[0])
+        kernel, calls, objectives = recalibrate._nll_and_grad, [], []
+        monkeypatch.setattr(recalibrate, "_nll_and_grad",
+                            lambda out, labels: calls.append(1) or kernel(out, labels))
+        search = recalibrate.nelder_mead
+        monkeypatch.setattr(recalibrate, "nelder_mead",
+                            lambda f, x0: objectives.append(f) or search(f, x0))
+        fit_temperature(LogitSet(z, y))
+        # A class-major objective scales its own copy and skips the kernel.
+        assert bool(calls) != recalibrate._runs_class_major(z)
+        for log_t in np.linspace(-3.0, 3.0, 41):
+            loss, _ = reference_nll_and_grad(z * math.exp(-log_t), y)
+            assert objectives[0](np.array([log_t])) == loss
 
     def test_dense(self):
         rng = np.random.default_rng(4)
